@@ -1,10 +1,10 @@
-//! Bench: matvec kernel variants through the full SLEM pipeline —
-//! scalar vs cache-blocked vs mixed-precision f32, end to end on a
+//! Bench: the two `SOCMIX_KERNEL` kinds through the full SLEM
+//! pipeline — exact f64 vs mixed-precision f32, end to end on a
 //! catalog graph at the 100k-node scale.
 //!
 //! Unlike the criterion-stub benches this harness is hand-rolled so
-//! the variants can be **interleaved**: each round times scalar, then
-//! blocked, then f32 once, so clock drift, thermal state, and page
+//! the variants can be **interleaved**: each round times exact, then
+//! f32 once, so clock drift, thermal state, and page
 //! cache effects land on every variant equally instead of biasing
 //! whichever ran last. Per-variant statistics are taken across rounds
 //! and written to `BENCH_kernels.json` (override the path with
@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use socmix_core::Slem;
 use socmix_gen::Dataset;
-use socmix_linalg::{KernelConfig, PowerOptions};
+use socmix_linalg::{KernelKind, PowerOptions};
 
 /// Fixed-work measurement: `tol: 0.0` never converges, so every
 /// variant runs exactly `max_iter` matvec iterations.
@@ -36,12 +36,9 @@ fn main() {
     // 100_000 nodes, ~1M edges: the f64 working set (~16 MB of
     // vectors plus the CSR stream) is far outside cache.
     let g = Dataset::FacebookA.generate(0.1, 7);
-    let variants: [(&str, KernelConfig); 3] = [
-        ("scalar", KernelConfig::scalar()),
-        ("blocked", KernelConfig::blocked()),
-        ("f32", KernelConfig::mixed_f32()),
-    ];
-    let run = |cfg: KernelConfig| {
+    let variants: [(&str, KernelKind); 2] =
+        [("exact", KernelKind::Exact), ("f32", KernelKind::F32)];
+    let run = |cfg: KernelKind| {
         let est = Slem::power_iteration(&g)
             .power_options(OPTS)
             .kernel(cfg)
@@ -54,7 +51,7 @@ fn main() {
         run(cfg);
     }
     // times[round][variant]: each round times every variant once
-    let mut times = [[0.0f64; 3]; ROUNDS];
+    let mut times = [[0.0f64; 2]; ROUNDS];
     for round in times.iter_mut() {
         for (slot, &(_, cfg)) in round.iter_mut().zip(&variants) {
             let start = Instant::now();
@@ -63,7 +60,7 @@ fn main() {
         }
     }
     let mut out = String::from("[\n");
-    let mut medians = [0.0f64; 3];
+    let mut medians = [0.0f64; 2];
     for (v, &(name, _)) in variants.iter().enumerate() {
         let mut t = times.map(|row| row[v]);
         t.sort_by(|a, b| a.total_cmp(b));
@@ -85,11 +82,7 @@ fn main() {
         ));
     }
     out.push_str("]\n");
-    println!(
-        "speedup vs scalar: blocked {:.2}x, f32 {:.2}x",
-        medians[0] / medians[1],
-        medians[0] / medians[2]
-    );
+    println!("speedup vs exact: f32 {:.2}x", medians[0] / medians[1]);
     let path = std::env::var("SOCMIX_BENCH_JSON").unwrap_or_else(|_| "BENCH_kernels.json".into());
     match std::fs::File::create(&path).and_then(|mut f| f.write_all(out.as_bytes())) {
         Ok(()) => println!("wrote {path}"),

@@ -26,14 +26,6 @@ fn bench_matvec(c: &mut Criterion) {
             b.iter(|| walk_par.apply(x, &mut y));
         });
 
-        // spawn-per-call vs persistent runtime at a fixed width: the
-        // same chunk geometry, so the delta is pure dispatch overhead
-        let walk_spawn = WalkOp::with_pool(&g, Pool::with_threads(8).spawn_per_call());
-        group.bench_with_input(BenchmarkId::new("walk_spawn8", label), &x, |b, x| {
-            let mut y = vec![0.0; n];
-            b.iter(|| walk_spawn.apply(x, &mut y));
-        });
-
         let walk_pers = WalkOp::with_pool(&g, Pool::with_threads(8));
         group.bench_with_input(BenchmarkId::new("walk_persistent8", label), &x, |b, x| {
             let mut y = vec![0.0; n];

@@ -5,8 +5,8 @@ use rand::SeedableRng;
 use socmix_graph::Graph;
 use socmix_linalg::power::{spectral_radius_in_complement, spectral_radius_in_complement_mixed};
 use socmix_linalg::{
-    dense, lanczos_extreme, lanczos_extreme_mixed, DeflatedOp, DeflatedOpF32, KernelConfig,
-    KernelKind, LanczosOptions, PowerOptions, SymmetricWalkOp, SymmetricWalkOpF32,
+    dense, lanczos_extreme, lanczos_extreme_mixed, DeflatedOp, DeflatedOpF32, KernelKind,
+    LanczosOptions, PowerOptions, SymmetricWalkOp, SymmetricWalkOpF32,
 };
 use socmix_markov::ergodicity;
 use socmix_obs::{obs_info, Counter};
@@ -100,12 +100,12 @@ pub struct Slem<'g> {
     lanczos_opts: LanczosOptions,
     power_opts: PowerOptions,
     pool: Pool,
-    kernel: KernelConfig,
+    kernel: KernelKind,
 }
 
 impl<'g> Slem<'g> {
-    /// Estimator with the given backend. The matvec kernel defaults to
-    /// the `SOCMIX_KERNEL` environment knob (scalar when unset).
+    /// Estimator with the given backend. The kernel kind defaults to
+    /// the `SOCMIX_KERNEL` environment knob (exact when unset).
     pub fn new(graph: &'g Graph, method: SlemMethod) -> Self {
         Slem {
             graph,
@@ -114,7 +114,7 @@ impl<'g> Slem<'g> {
             lanczos_opts: LanczosOptions::default(),
             power_opts: PowerOptions::default(),
             pool: Pool::new(),
-            kernel: KernelConfig::from_env(),
+            kernel: KernelKind::from_env(),
         }
     }
 
@@ -165,13 +165,12 @@ impl<'g> Slem<'g> {
         self
     }
 
-    /// Overrides the matvec kernel (default: the `SOCMIX_KERNEL`
-    /// environment knob). `Scalar` and `Blocked` produce bit-for-bit
-    /// identical estimates; `F32` routes the iterative backends
-    /// through the mixed-precision drivers, whose final f64 Rayleigh
-    /// polish keeps `|µ_f32 − µ_f64| ≤ 1e-6`. The dense backend
-    /// ignores the kernel.
-    pub fn kernel(mut self, kernel: KernelConfig) -> Self {
+    /// Overrides the kernel kind (default: the `SOCMIX_KERNEL`
+    /// environment knob). `Exact` runs the f64 solvers on the exact
+    /// gathers; `F32` routes the iterative backends through the
+    /// mixed-precision drivers, whose final f64 Rayleigh polish keeps
+    /// `|µ_f32 − µ_f64| ≤ 1e-6`. The dense backend ignores the kind.
+    pub fn kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
         self
     }
@@ -224,11 +223,11 @@ impl<'g> Slem<'g> {
                 }
             }
             SlemMethod::Lanczos => {
-                let sop = SymmetricWalkOp::with_kernel(g, self.pool, self.kernel);
+                let sop = SymmetricWalkOp::with_pool(g, self.pool);
                 let basis = vec![sop.top_eigenvector()];
                 let defl = DeflatedOp::new(sop, &basis);
-                let r = if self.kernel.kind == KernelKind::F32 {
-                    let sop32 = SymmetricWalkOpF32::with_kernel(g, self.pool, self.kernel);
+                let r = if self.kernel == KernelKind::F32 {
+                    let sop32 = SymmetricWalkOpF32::with_pool(g, self.pool);
                     let basis32 = vec![sop32.top_eigenvector32()];
                     let defl32 = DeflatedOpF32::new(sop32, &basis32);
                     lanczos_extreme_mixed(&defl, &defl32, self.lanczos_opts, &mut rng)
@@ -245,11 +244,11 @@ impl<'g> Slem<'g> {
                 }
             }
             SlemMethod::PowerIteration => {
-                let sop = SymmetricWalkOp::with_kernel(g, self.pool, self.kernel);
+                let sop = SymmetricWalkOp::with_pool(g, self.pool);
                 let basis = vec![sop.top_eigenvector()];
                 let defl = DeflatedOp::new(sop, &basis);
-                let mu = if self.kernel.kind == KernelKind::F32 {
-                    let sop32 = SymmetricWalkOpF32::with_kernel(g, self.pool, self.kernel);
+                let mu = if self.kernel == KernelKind::F32 {
+                    let sop32 = SymmetricWalkOpF32::with_pool(g, self.pool);
                     let basis32 = vec![sop32.top_eigenvector32()];
                     let defl32 = DeflatedOpF32::new(sop32, &basis32);
                     spectral_radius_in_complement_mixed(&defl, &defl32, self.power_opts, &mut rng)
@@ -269,6 +268,10 @@ impl<'g> Slem<'g> {
         })
     }
 }
+
+#[cfg(test)]
+#[path = "../../linalg/tests/oracle/mod.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -432,28 +435,50 @@ mod tests {
         assert_eq!(pserial.iterations, ppar.iterations);
     }
 
+    /// `S` applied by the naive gather, so the solvers can be driven
+    /// on the oracle bits.
+    struct OracleSym<'g>(&'g Graph);
+
+    impl socmix_linalg::LinearOp for OracleSym<'_> {
+        fn dim(&self) -> usize {
+            self.0.num_nodes()
+        }
+
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            y.copy_from_slice(&super::oracle::symmetric(self.0, x));
+        }
+    }
+
     #[test]
-    fn blocked_kernel_estimate_is_bitwise_scalar() {
+    fn exact_estimate_is_bitwise_oracle() {
+        let seed = 7;
         for g in [
             fixtures::petersen(),
             fixtures::barbell(5, 2),
             fixtures::grid(5, 4),
         ] {
+            let basis = vec![SymmetricWalkOp::new(&g).top_eigenvector()];
+            let defl = DeflatedOp::new(OracleSym(&g), &basis);
             for method in [SlemMethod::Lanczos, SlemMethod::PowerIteration] {
-                let scalar = Slem::new(&g, method)
-                    .kernel(KernelConfig::scalar())
+                let est = Slem::new(&g, method)
+                    .kernel(KernelKind::Exact)
+                    .seed(seed)
                     .estimate()
                     .unwrap();
-                let blocked = Slem::new(&g, method)
-                    .kernel(KernelConfig::blocked())
-                    .estimate()
-                    .unwrap();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (mu, iterations) = if method == SlemMethod::Lanczos {
+                    let r = lanczos_extreme(&defl, LanczosOptions::default(), &mut rng);
+                    (r.top.max(-r.bottom).clamp(0.0, 1.0), r.iterations)
+                } else {
+                    let r = spectral_radius_in_complement(&defl, PowerOptions::default(), &mut rng);
+                    (r.radius.clamp(0.0, 1.0), r.iterations)
+                };
                 assert_eq!(
-                    scalar.mu.to_bits(),
-                    blocked.mu.to_bits(),
-                    "{method:?} blocked f64 kernel must be bit-for-bit"
+                    est.mu.to_bits(),
+                    mu.to_bits(),
+                    "{method:?} exact kernel must match the naive gather bit for bit"
                 );
-                assert_eq!(scalar.iterations, blocked.iterations);
+                assert_eq!(est.iterations, iterations);
             }
         }
     }
@@ -470,11 +495,11 @@ mod tests {
         ] {
             for method in [SlemMethod::Lanczos, SlemMethod::PowerIteration] {
                 let exact = Slem::new(&g, method)
-                    .kernel(KernelConfig::scalar())
+                    .kernel(KernelKind::Exact)
                     .estimate()
                     .unwrap();
                 let mixed = Slem::new(&g, method)
-                    .kernel(KernelConfig::mixed_f32())
+                    .kernel(KernelKind::F32)
                     .estimate()
                     .unwrap();
                 assert!(

@@ -31,10 +31,13 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if the arrays are structurally inconsistent (wrong offset
-    /// bounds). Semantic invariants (sortedness, symmetry) are checked
-    /// only under `debug_assertions`; use [`Graph::validate`] to check
-    /// them explicitly on untrusted input.
+    /// Panics if the arrays are structurally inconsistent: offsets that
+    /// do not run non-decreasing from 0 to `targets.len()`, or a target
+    /// id that is not a node. The matvec kernels index without bounds
+    /// checks on the strength of these two checks. Semantic invariants
+    /// (sortedness, symmetry) are checked only under
+    /// `debug_assertions`; use [`Graph::validate`] to check them
+    /// explicitly on untrusted input.
     pub fn from_csr(offsets: Vec<usize>, targets: Vec<NodeId>) -> Self {
         assert!(!offsets.is_empty(), "offsets must have n+1 entries");
         assert_eq!(offsets[0], 0, "offsets must start at 0");
@@ -42,6 +45,15 @@ impl Graph {
             *offsets.last().unwrap(),
             targets.len(),
             "offsets must end at targets.len()"
+        );
+        assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1]),
+            "offsets must be non-decreasing"
+        );
+        let n = offsets.len() - 1;
+        assert!(
+            targets.iter().all(|&t| (t as usize) < n),
+            "target ids must be below the node count"
         );
         let g = Graph { offsets, targets };
         debug_assert!(g.validate().is_ok(), "{:?}", g.validate());
@@ -358,5 +370,17 @@ mod tests {
     #[should_panic]
     fn from_csr_rejects_bad_offsets() {
         let _ = Graph::from_csr(vec![0, 5], vec![1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-decreasing")]
+    fn from_csr_rejects_decreasing_offsets() {
+        let _ = Graph::from_csr(vec![0, 2, 1, 2], vec![1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the node count")]
+    fn from_csr_rejects_out_of_range_target() {
+        let _ = Graph::from_csr(vec![0, 1, 1], vec![5]);
     }
 }

@@ -16,7 +16,7 @@
 //! # Bit-for-bit determinism
 //!
 //! The sharded result is **bitwise identical** to the shared-memory
-//! scalar kernel at every shard count:
+//! exact kernels at every shard count:
 //!
 //! - the parent computes the scaled vector `z[i] = x[i] · inv[i]`
 //!   exactly as the local kernel does (same multiply, same rounding),
@@ -30,6 +30,7 @@
 //! The cross-shard determinism tests assert this equality on the whole
 //! fixture catalog.
 
+use crate::kernel;
 use crate::multivec::MultiLinearOp;
 use crate::op::LinearOp;
 use crate::workspace::with_scratch;
@@ -292,7 +293,7 @@ impl<'g> DistributedOp<'g> {
         let mut s = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         let DistScratch { z, ins, outs } = &mut *s;
         // z[i] = x[i]·inv[i]: the exact multiply (and rounding) of the
-        // local scalar kernel.
+        // local exact kernel.
         z.clear();
         z.extend(x.iter().zip(&self.inv_scale).map(|(xi, inv)| xi * inv));
         ins.resize(self.plan.shards, Vec::new());
@@ -388,14 +389,15 @@ impl<'g> DistributedOp<'g> {
         Ok(())
     }
 
-    /// The shared-memory fallback: the serial scalar kernel, bitwise
-    /// identical to what the shard round would have produced.
+    /// The shared-memory fallback: the exact single-column kernel run
+    /// serially, bitwise identical to what the shard round would have
+    /// produced.
     fn apply_local(&self, x: &[f64], y: &mut [f64]) {
         local_apply(self.graph, &self.inv_scale, self.finisher, x, y);
     }
 
-    /// Batched shared-memory fallback (serial, bitwise identical to
-    /// the local batched kernel).
+    /// Batched shared-memory fallback (the exact multi-column kernel,
+    /// run serially).
     fn apply_local_multi(&self, xs: &[f64], ys: &mut [f64], stride: usize, width: usize) {
         local_apply_multi(
             self.graph,
@@ -409,33 +411,22 @@ impl<'g> DistributedOp<'g> {
     }
 }
 
-/// Serial scalar walk kernel over explicit scaling — the fallback's
-/// body, free-standing so the bitwise-equality tests can exercise it
-/// without a live worker group.
+/// The fallback's single-column body, free-standing so the
+/// bitwise-equality tests can exercise it without a live worker group.
 fn local_apply(graph: &Graph, inv_scale: &[f64], finisher: Finisher, x: &[f64], y: &mut [f64]) {
     let n = graph.num_nodes();
-    let offsets = graph.offsets();
-    let targets = graph.raw_targets();
     with_scratch(n, |z| {
         for ((zi, xi), inv) in z.iter_mut().zip(x).zip(inv_scale) {
             *zi = xi * inv;
         }
-        for (j, yj) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for &i in &targets[offsets[j]..offsets[j + 1]] {
-                acc += z[i as usize];
-            }
-            *yj = match finisher {
-                Finisher::Walk => acc,
-                Finisher::Symmetric => acc * inv_scale[j],
-            };
-        }
+        kernel::gather_rows_f64(graph, z, 0..n, y, |j, a| match finisher {
+            Finisher::Walk => a,
+            Finisher::Symmetric => a * inv_scale[j],
+        });
     });
 }
 
-/// Serial batched walk kernel over explicit scaling (fallback body of
-/// [`DistributedOp::apply_local_multi`]).
-#[allow(clippy::too_many_arguments)]
+/// The fallback's batched body (see [`local_apply`]).
 fn local_apply_multi(
     graph: &Graph,
     inv_scale: &[f64],
@@ -446,22 +437,11 @@ fn local_apply_multi(
     width: usize,
 ) {
     let n = graph.num_nodes();
-    let offsets = graph.offsets();
-    let targets = graph.raw_targets();
-    for j in 0..n {
-        let yr = &mut ys[j * stride..j * stride + width];
-        yr.fill(0.0);
-        for &i in &targets[offsets[j]..offsets[j + 1]] {
-            let i = i as usize;
-            let d = inv_scale[i];
-            let xr = &xs[i * stride..i * stride + width];
-            for (yc, &xc) in yr.iter_mut().zip(xr) {
-                *yc += xc * d;
-            }
-        }
-        if finisher == Finisher::Symmetric {
-            let fin = inv_scale[j];
-            for yc in yr.iter_mut() {
+    let ys = &mut ys[..n * stride];
+    kernel::gather_rows_multi_f64(graph, inv_scale, xs, stride, width, 0..n, ys);
+    if finisher == Finisher::Symmetric {
+        for (yr, &fin) in ys.chunks_mut(stride).zip(inv_scale) {
+            for yc in &mut yr[..width] {
                 *yc *= fin;
             }
         }
@@ -623,26 +603,17 @@ mod tests {
     }
 
     #[test]
-    fn local_fallbacks_match_shared_memory_ops() {
-        // The fallback kernels must be bitwise equal to WalkOp /
-        // SymmetricWalkOp so a mid-run shard failure cannot change
-        // results. Exercised directly (no worker group needed).
-        use crate::kernel::KernelConfig;
-        use crate::op::{SymmetricWalkOp, WalkOp};
+    fn local_fallbacks_match_naive_oracle() {
+        // The fallback kernels must be bitwise equal to the naive loop
+        // (and so to WalkOp / SymmetricWalkOp) so a mid-run shard
+        // failure cannot change results. Exercised directly (no
+        // worker group needed).
+        use crate::oracle;
         let g = web();
         let n = g.num_nodes();
         let x: Vec<f64> = (0..n).map(|i| ((i * 3 + 1) as f64) / 7.0).collect();
         for symmetric in [false, true] {
-            let inv_scale: Vec<f64> = (0..n)
-                .map(|v| {
-                    let d = g.degree(v as u32) as f64;
-                    if symmetric {
-                        1.0 / d.sqrt()
-                    } else {
-                        1.0 / d
-                    }
-                })
-                .collect();
+            let inv_scale = oracle::inv_scale(&g, symmetric);
             let finisher = if symmetric {
                 Finisher::Symmetric
             } else {
@@ -651,11 +622,9 @@ mod tests {
             let mut y = vec![0.0; n];
             local_apply(&g, &inv_scale, finisher, &x, &mut y);
             let want = if symmetric {
-                SymmetricWalkOp::with_kernel(&g, socmix_par::Pool::serial(), KernelConfig::scalar())
-                    .apply_vec(&x)
+                oracle::symmetric(&g, &x)
             } else {
-                WalkOp::with_kernel(&g, socmix_par::Pool::serial(), KernelConfig::scalar())
-                    .apply_vec(&x)
+                oracle::walk(&g, &x)
             };
             for (a, b) in y.iter().zip(&want) {
                 assert_eq!(a.to_bits(), b.to_bits(), "symmetric={symmetric}");
@@ -664,26 +633,9 @@ mod tests {
             let xs: Vec<f64> = (0..n * width).map(|i| ((i % 11) as f64) / 11.0).collect();
             let mut ys = vec![0.0; n * width];
             local_apply_multi(&g, &inv_scale, finisher, &xs, &mut ys, width, width);
-            for c in 0..width {
-                let col: Vec<f64> = (0..n).map(|i| xs[i * width + c]).collect();
-                let want = if symmetric {
-                    SymmetricWalkOp::with_kernel(
-                        &g,
-                        socmix_par::Pool::serial(),
-                        KernelConfig::scalar(),
-                    )
-                    .apply_vec(&col)
-                } else {
-                    WalkOp::with_kernel(&g, socmix_par::Pool::serial(), KernelConfig::scalar())
-                        .apply_vec(&col)
-                };
-                for (i, w) in want.iter().enumerate() {
-                    assert_eq!(
-                        ys[i * width + c].to_bits(),
-                        w.to_bits(),
-                        "col {c} row {i} symmetric={symmetric}"
-                    );
-                }
+            let want = oracle::block(&g, symmetric, &xs, width, width);
+            for (i, (a, b)) in ys.iter().zip(&want).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "entry {i} symmetric={symmetric}");
             }
         }
     }

@@ -1,22 +1,19 @@
-//! Matvec kernel selection and the cache-blocked CSR gather kernels.
+//! The CSR gather kernels and the `SOCMIX_KERNEL` knob.
 //!
 //! The CSR gather `y[j] = Σ_{i∼j} z[i]` is the hardware-bound inner
-//! loop of every measurement in the workspace. This module provides
-//! the alternatives behind the [`KernelConfig`] knob:
+//! loop of every measurement in the workspace. Every operator runs one
+//! of three loops from this module:
 //!
-//! - **Scalar** — the baseline loop in [`crate::op`], unchanged.
-//! - **Blocked** — row-segmented, column-tiled `f64` gather: rows are
-//!   processed in fixed segments with one cursor per row, and the
-//!   sorted adjacency of each row is consumed in ascending column
-//!   tiles, so the tile of `z` being gathered stays cache-resident
-//!   while the CSR stream passes through once. Because adjacency
-//!   lists are sorted (a `Graph` invariant) the per-row accumulation
-//!   order is exactly the scalar order — results are **bit-for-bit**
-//!   identical to the scalar kernel, so the determinism contract is
-//!   preserved. Inner loops use unchecked indexing justified by the
-//!   CSR invariants.
-//! - **F32** — single-precision gather. The f64 contract forbids
-//!   reassociation, which chains every add through one
+//! - [`gather_rows_f64`] — the exact single-column gather: one row at
+//!   a time, one accumulator, neighbors in storage (= ascending
+//!   column) order, with unchecked indexing justified by the CSR
+//!   invariants.
+//! - [`gather_rows_multi_f64`] — the exact multi-column gather behind
+//!   `apply_multi`: per row and active column, the same
+//!   multiply-then-accumulate sequence as the single-column path, so
+//!   batched results are bit-for-bit equal to column-at-a-time ones.
+//! - [`gather_rows_f32`] — single-precision gather. The f64 contract
+//!   forbids reassociation, which chains every add through one
 //!   ~4-cycle-latency dependency; the f32 path trades
 //!   bit-reproducibility against f64 for a tolerance contract (see
 //!   [`crate::power::power_iteration_mixed`]) and may therefore break
@@ -28,92 +25,41 @@
 //!   traffic) is where the speedup comes from. Elsewhere it falls
 //!   back to four independent scalar accumulators per row.
 //!
-//! This is one of the workspace's designated knob modules: the
-//! `SOCMIX_KERNEL` environment read lives here (and only here) so the
-//! stray-env-read lint keeps every other crate honest.
+//! Neither f64 loop reassociates, so exact results equal the naive
+//! loop's bit for bit at every pool width (the determinism tests keep
+//! that loop as their oracle). Column-tiled variants of all three
+//! loops were measured slower at 100k–1M nodes and removed (see
+//! EXPERIMENTS.md).
+//!
+//! [`KernelKind`] chooses between the exact solvers and the
+//! mixed-precision ones. This is one of the workspace's designated
+//! knob modules: the `SOCMIX_KERNEL` environment read lives here (and
+//! only here) so the stray-env-read lint keeps every other crate
+//! honest.
 
-use crate::workspace::with_arena;
+use socmix_graph::Graph;
 use std::ops::Range;
 
-/// Default column-tile width (entries of `z`) for the blocked kernels:
-/// 128 Ki `f64` = 1 MiB, sized to keep a tile resident in a ~2 MiB L2
-/// alongside the CSR stream and output rows.
-pub const DEFAULT_COL_TILE: usize = 1 << 17;
-
-/// Rows per blocked segment. Bounds the per-segment cursor and
-/// accumulator state (2 KiB of cursors) so it lives in L1 across tile
-/// passes.
-const SEG_ROWS: usize = 256;
-
-/// Which matvec kernel the operators run.
+/// Which precision the eigensolvers run at. Only [`KernelKind::F32`]
+/// changes behaviour, and only in drivers that have a mixed path
+/// (`Slem`); the operators' f64 entry points always run the exact
+/// gathers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// The baseline scalar loop (bit-for-bit reference).
+    /// The exact f64 gathers (the bit-for-bit reference).
     #[default]
-    Scalar,
-    /// Cache-blocked f64 gather — bit-for-bit identical to `Scalar`.
-    Blocked,
-    /// Mixed precision: f32 iterations with f64 polish. f64 entry
-    /// points behave as `Blocked` (still bit-for-bit); drivers that
-    /// have a mixed path run it (tolerance contract: µ within 1e-6).
+    Exact,
+    /// Mixed precision: f32 iterations with f64 polish (tolerance
+    /// contract: µ within 1e-6 of the exact answer).
     F32,
 }
 
-/// Kernel selection plus blocking geometry, threaded through the
-/// operators by value (it is `Copy`, like `Pool`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelConfig {
-    /// Which kernel family to run.
-    pub kind: KernelKind,
-    /// Column-tile width for the blocked kernels, in entries of the
-    /// gathered vector. Tests force tiny tiles to exercise the
-    /// multi-tile path on small fixtures.
-    pub col_tile: usize,
-}
-
-impl KernelConfig {
-    /// The baseline scalar kernel.
-    pub fn scalar() -> Self {
-        Self::of(KernelKind::Scalar)
-    }
-
-    /// The cache-blocked f64 kernel.
-    pub fn blocked() -> Self {
-        Self::of(KernelKind::Blocked)
-    }
-
-    /// The mixed-precision f32 path.
-    pub fn mixed_f32() -> Self {
-        Self::of(KernelKind::F32)
-    }
-
-    /// A config of the given kind with the default tile width.
-    pub fn of(kind: KernelKind) -> Self {
-        KernelConfig {
-            kind,
-            col_tile: DEFAULT_COL_TILE,
-        }
-    }
-
-    /// Overrides the column-tile width (clamped to at least 1).
-    pub fn col_tile(mut self, tile: usize) -> Self {
-        self.col_tile = tile.max(1);
-        self
-    }
-
-    /// The kernel selected by the `SOCMIX_KERNEL` environment variable
-    /// (`scalar`, `blocked`, or `f32`); scalar when unset. Invalid
-    /// values warn once and fall back.
+impl KernelKind {
+    /// The kind selected by the `SOCMIX_KERNEL` environment variable
+    /// (`exact` or `f32`); exact when unset. Any other value warns
+    /// once and falls back to exact.
     pub fn from_env() -> Self {
-        Self::of(kind_from_env(
-            std::env::var("SOCMIX_KERNEL").ok().as_deref(),
-        ))
-    }
-}
-
-impl Default for KernelConfig {
-    fn default() -> Self {
-        Self::scalar()
+        kind_from_env(std::env::var("SOCMIX_KERNEL").ok().as_deref())
     }
 }
 
@@ -123,107 +69,89 @@ fn kind_from_env(raw: Option<&str>) -> KernelKind {
             Some(k) => return k,
             None => socmix_obs::warn_once!(
                 "linalg.kernel",
-                "ignoring invalid SOCMIX_KERNEL={v:?}: expected scalar, blocked, or f32, \
-                 falling back to the scalar kernel"
+                "ignoring invalid SOCMIX_KERNEL={v:?}: expected exact or f32, \
+                 falling back to the exact kernel"
             ),
         }
     }
-    KernelKind::Scalar
+    KernelKind::Exact
 }
 
 fn parse_kind(v: &str) -> Option<KernelKind> {
     match v.trim().to_ascii_lowercase().as_str() {
-        "scalar" => Some(KernelKind::Scalar),
-        "blocked" => Some(KernelKind::Blocked),
+        "exact" => Some(KernelKind::Exact),
         "f32" => Some(KernelKind::F32),
         _ => None,
     }
 }
 
-/// Blocked f64 gather over `rows`: for each row `j`,
-/// `y[j - rows.start] = finish(j, Σ_k z[targets[k]])` with `k` ranging
-/// over the row's CSR slice in storage (= ascending-column) order, so
-/// the sum is bitwise the scalar kernel's.
+/// Exact single-column gather over `rows` of `g`: for each row `j`,
+/// `y[j - rows.start] = finish(j, Σ_{i∼j} z[i])` with the neighbors
+/// `i` taken in storage (ascending) order and summed left to right
+/// into one accumulator.
 ///
-/// `y` must have length `rows.len()`. When the whole vector fits one
-/// tile the cursor machinery is skipped entirely.
+/// # Panics
+///
+/// Panics unless `z` has one entry per node and `y` one per row.
 pub(crate) fn gather_rows_f64(
-    offsets: &[usize],
-    targets: &[u32],
+    g: &Graph,
     z: &[f64],
     rows: Range<usize>,
-    col_tile: usize,
     y: &mut [f64],
     finish: impl Fn(usize, f64) -> f64,
 ) {
-    debug_assert_eq!(y.len(), rows.len());
-    let n = z.len();
-    if n <= col_tile {
-        for (out, j) in y.iter_mut().zip(rows) {
-            let mut acc = 0.0;
-            for k in offsets[j]..offsets[j + 1] {
-                // SAFETY: CSR invariants — `offsets[j+1] ≤ targets.len()`
-                // and every stored target id is `< n = z.len()`
-                // (`GraphBuilder::build` guarantees both).
-                unsafe {
-                    acc += *z.get_unchecked(*targets.get_unchecked(k) as usize);
-                }
+    assert_eq!(z.len(), g.num_nodes(), "one input entry per node");
+    assert_eq!(y.len(), rows.len(), "one output entry per row");
+    let (offsets, targets) = (g.offsets(), g.raw_targets());
+    for (out, j) in y.iter_mut().zip(rows) {
+        let mut acc = 0.0;
+        for k in offsets[j]..offsets[j + 1] {
+            // SAFETY: `Graph::from_csr` asserts (and the binary
+            // loader validates) that offsets are non-decreasing up to
+            // `targets.len()`, so `k < offsets[j+1] ≤ targets.len()`,
+            // and that every target id is `< num_nodes() = z.len()`
+            // (asserted above).
+            unsafe {
+                acc += *z.get_unchecked(*targets.get_unchecked(k) as usize);
             }
-            *out = finish(j, acc);
         }
-        return;
+        *out = finish(j, acc);
     }
+}
+
+/// Exact multi-column gather over `rows` of `g`: per row `j`,
+/// accumulates `Σ_{i∼j} x[i, c] · inv[i]` over the neighbors in
+/// storage order into `y[(j - rows.start) · stride + c]` for every
+/// active column `c < width`.
+///
+/// Per column the operation sequence is the single-column kernel's
+/// (the product `x·inv` rounded, then added to one accumulator that
+/// starts at zero), so column `c` of the result is bitwise the
+/// single-column apply of column `c`. `y` must hold `rows.len()` rows
+/// of `stride` entries.
+pub(crate) fn gather_rows_multi_f64(
+    g: &Graph,
+    inv: &[f64],
+    xs: &[f64],
+    stride: usize,
+    width: usize,
+    rows: Range<usize>,
+    y: &mut [f64],
+) {
+    debug_assert_eq!(y.len(), rows.len() * stride);
+    let (offsets, targets) = (g.offsets(), g.raw_targets());
     let row0 = rows.start;
-    let mut seg = rows.start;
-    while seg < rows.end {
-        let seg_end = (seg + SEG_ROWS).min(rows.end);
-        let m = seg_end - seg;
-        let mut acc = [0.0f64; SEG_ROWS];
-        let mut cur = [0usize; SEG_ROWS];
-        for (c, j) in cur.iter_mut().zip(seg..seg_end) {
-            *c = offsets[j];
-        }
-        // ascending column tiles; each row's cursor advances through
-        // its sorted adjacency exactly once across all tiles, so the
-        // per-row accumulation order equals the scalar kernel's
-        let mut t0 = 0usize;
-        while t0 < n {
-            let t1 = (t0 + col_tile).min(n);
-            for r in 0..m {
-                let end = offsets[seg + r + 1];
-                let mut k = cur[r];
-                let mut a = acc[r];
-                if t1 == n {
-                    while k < end {
-                        // SAFETY: `k < offsets[j+1] ≤ targets.len()`,
-                        // and target ids are `< n = z.len()` (CSR
-                        // invariants from `GraphBuilder::build`).
-                        unsafe {
-                            a += *z.get_unchecked(*targets.get_unchecked(k) as usize);
-                        }
-                        k += 1;
-                    }
-                } else {
-                    while k < end {
-                        // SAFETY: same CSR bounds argument as above.
-                        let t = unsafe { *targets.get_unchecked(k) } as usize;
-                        if t >= t1 {
-                            break;
-                        }
-                        // SAFETY: `t < t1 ≤ n = z.len()`.
-                        a += unsafe { *z.get_unchecked(t) };
-                        k += 1;
-                    }
-                }
-                acc[r] = a;
-                cur[r] = k;
+    for j in rows {
+        let yr = &mut y[(j - row0) * stride..(j - row0) * stride + width];
+        yr.fill(0.0);
+        for &i in &targets[offsets[j]..offsets[j + 1]] {
+            let i = i as usize;
+            let d = inv[i];
+            let xr = &xs[i * stride..i * stride + width];
+            for c in 0..width {
+                yr[c] += xr[c] * d;
             }
-            t0 = t1;
         }
-        for r in 0..m {
-            y[seg + r - row0] = finish(seg + r, acc[r]);
-        }
-        seg = seg_end;
     }
 }
 
@@ -234,177 +162,58 @@ pub(crate) fn gather_rows_f64(
 /// the per-row instruction sequence depends only on the row, so
 /// results are bitwise identical across pool widths on a given
 /// machine.
+///
+/// # Panics
+///
+/// Panics unless `z` has one entry per node and `y` one per row.
 pub(crate) fn gather_rows_f32(
-    offsets: &[usize],
-    targets: &[u32],
+    g: &Graph,
     z: &[f32],
     rows: Range<usize>,
-    col_tile: usize,
     y: &mut [f32],
     finish: impl Fn(usize, f32) -> f32,
 ) {
-    debug_assert_eq!(y.len(), rows.len());
-    let n = z.len();
-    if n <= col_tile.saturating_mul(2) {
-        // an f32 tile holds twice the entries of an f64 tile per byte
-        #[cfg(target_arch = "x86_64")]
-        if avx512::available() {
-            for (out, j) in y.iter_mut().zip(rows.clone()) {
-                // SAFETY: `available()` just confirmed AVX-512F at
-                // runtime, and the CSR invariants from
-                // `GraphBuilder::build` give `offsets[j+1] ≤
-                // targets.len()` with every target id `< n = z.len()`.
-                let sum = unsafe { avx512::row_sum(targets, offsets[j], offsets[j + 1], z) };
-                *out = finish(j, sum);
-            }
-            return;
-        }
+    assert_eq!(z.len(), g.num_nodes(), "one input entry per node");
+    assert_eq!(y.len(), rows.len(), "one output entry per row");
+    let (offsets, targets) = (g.offsets(), g.raw_targets());
+    #[cfg(target_arch = "x86_64")]
+    if avx512::available() {
         for (out, j) in y.iter_mut().zip(rows) {
-            let end = offsets[j + 1];
-            let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            let mut k = offsets[j];
-            while k + 4 <= end {
-                // SAFETY: `k+3 < offsets[j+1] ≤ targets.len()` and
-                // target ids are `< n = z.len()` (CSR invariants from
-                // `GraphBuilder::build`).
-                unsafe {
-                    a0 += *z.get_unchecked(*targets.get_unchecked(k) as usize);
-                    a1 += *z.get_unchecked(*targets.get_unchecked(k + 1) as usize);
-                    a2 += *z.get_unchecked(*targets.get_unchecked(k + 2) as usize);
-                    a3 += *z.get_unchecked(*targets.get_unchecked(k + 3) as usize);
-                }
-                k += 4;
-            }
-            while k < end {
-                // SAFETY: same CSR bounds argument as above.
-                unsafe {
-                    a0 += *z.get_unchecked(*targets.get_unchecked(k) as usize);
-                }
-                k += 1;
-            }
-            *out = finish(j, (a0 + a1) + (a2 + a3));
+            // SAFETY: `available()` just confirmed AVX-512F at
+            // runtime; the `Graph` invariants (see `gather_rows_f64`)
+            // give `offsets[j] ≤ offsets[j+1] ≤ targets.len()` with
+            // every target id `< num_nodes() = z.len()` (asserted
+            // above).
+            let sum = unsafe { avx512::row_sum(targets, offsets[j], offsets[j + 1], z) };
+            *out = finish(j, sum);
         }
         return;
     }
-    // huge-n fallback: the same cursor/tile walk as the f64 kernel
-    // (single accumulator; at these sizes the win is locality, and
-    // the f32 contract does not require any particular order)
-    let row0 = rows.start;
-    let mut seg = rows.start;
-    while seg < rows.end {
-        let seg_end = (seg + SEG_ROWS).min(rows.end);
-        let m = seg_end - seg;
-        let mut acc = [0.0f32; SEG_ROWS];
-        let mut cur = [0usize; SEG_ROWS];
-        for (c, j) in cur.iter_mut().zip(seg..seg_end) {
-            *c = offsets[j];
-        }
-        let tile = col_tile * 2;
-        let mut t0 = 0usize;
-        while t0 < n {
-            let t1 = (t0 + tile).min(n);
-            for r in 0..m {
-                let end = offsets[seg + r + 1];
-                let mut k = cur[r];
-                let mut a = acc[r];
-                while k < end {
-                    // SAFETY: `k < offsets[j+1] ≤ targets.len()` (CSR
-                    // invariants from `GraphBuilder::build`).
-                    let t = unsafe { *targets.get_unchecked(k) } as usize;
-                    if t >= t1 {
-                        break;
-                    }
-                    // SAFETY: `t < t1 ≤ n = z.len()`.
-                    a += unsafe { *z.get_unchecked(t) };
-                    k += 1;
-                }
-                acc[r] = a;
-                cur[r] = k;
+    for (out, j) in y.iter_mut().zip(rows) {
+        let end = offsets[j + 1];
+        let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+        let mut k = offsets[j];
+        while k + 4 <= end {
+            // SAFETY: `k+3 < offsets[j+1] ≤ targets.len()` and target
+            // ids are `< num_nodes() = z.len()` (the `Graph`
+            // invariants, see `gather_rows_f64`).
+            unsafe {
+                a0 += *z.get_unchecked(*targets.get_unchecked(k) as usize);
+                a1 += *z.get_unchecked(*targets.get_unchecked(k + 1) as usize);
+                a2 += *z.get_unchecked(*targets.get_unchecked(k + 2) as usize);
+                a3 += *z.get_unchecked(*targets.get_unchecked(k + 3) as usize);
             }
-            t0 = t1;
+            k += 4;
         }
-        for r in 0..m {
-            y[seg + r - row0] = finish(seg + r, acc[r]);
+        while k < end {
+            // SAFETY: same CSR bounds argument as above.
+            unsafe {
+                a0 += *z.get_unchecked(*targets.get_unchecked(k) as usize);
+            }
+            k += 1;
         }
-        seg = seg_end;
+        *out = finish(j, (a0 + a1) + (a2 + a3));
     }
-}
-
-/// Blocked batched gather for [`crate::multivec`]: per row `j` of
-/// `rows`, accumulates `Σ_i x[i, c] · inv[i]` over the row's sorted
-/// adjacency into `y[(j - rows.start) · stride + c]` for every active
-/// column `c < width`.
-///
-/// The per-row, per-column operation sequence (`acc += x·inv`, columns
-/// innermost, neighbors ascending) is exactly the scalar batched
-/// kernel's, so results stay bit-for-bit identical — the tiling only
-/// changes *when* each neighbor row is visited, never the order within
-/// one output row.
-//
-// Nine arguments because this is a leaf kernel mirroring the CSR and
-// batch layout verbatim; bundling them into a struct would only move
-// the list one call up.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gather_rows_multi_f64(
-    offsets: &[usize],
-    targets: &[u32],
-    inv: &[f64],
-    xs: &[f64],
-    stride: usize,
-    width: usize,
-    rows: Range<usize>,
-    col_tile: usize,
-    y: &mut [f64],
-) {
-    debug_assert_eq!(y.len(), rows.len() * stride);
-    let n = inv.len();
-    // callers pass the tile already scaled for the row footprint
-    // (gathering `width` columns touches width·8 bytes per x-row)
-    let tile = col_tile.max(1);
-    with_arena(|arena| {
-        let acc = arena.alloc_f64(SEG_ROWS * width);
-        let row0 = rows.start;
-        let mut seg = rows.start;
-        while seg < rows.end {
-            let seg_end = (seg + SEG_ROWS).min(rows.end);
-            let m = seg_end - seg;
-            acc[..m * width].fill(0.0);
-            let mut cur = [0usize; SEG_ROWS];
-            for (c, j) in cur.iter_mut().zip(seg..seg_end) {
-                *c = offsets[j];
-            }
-            let mut t0 = 0usize;
-            while t0 < n {
-                let t1 = (t0 + tile).min(n);
-                for r in 0..m {
-                    let end = offsets[seg + r + 1];
-                    let a = &mut acc[r * width..(r + 1) * width];
-                    let mut k = cur[r];
-                    while k < end {
-                        let i = targets[k] as usize;
-                        if i >= t1 {
-                            break;
-                        }
-                        let d = inv[i];
-                        let xr = &xs[i * stride..i * stride + width];
-                        // per column the exact two-op sequence of the
-                        // serial kernel: multiply, then accumulate
-                        for (av, &xv) in a.iter_mut().zip(xr) {
-                            *av += xv * d;
-                        }
-                        k += 1;
-                    }
-                    cur[r] = k;
-                }
-                t0 = t1;
-            }
-            for r in 0..m {
-                y[(seg + r - row0) * stride..(seg + r - row0) * stride + width]
-                    .copy_from_slice(&acc[r * width..r * width + width]);
-            }
-            seg = seg_end;
-        }
-    });
 }
 
 /// The AVX-512F row-sum kernel for [`gather_rows_f32`]. Compiled only
@@ -462,37 +271,50 @@ mod avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+    use socmix_graph::{Graph, GraphBuilder};
 
     #[test]
-    fn parse_accepts_the_three_kernels() {
-        assert_eq!(parse_kind("scalar"), Some(KernelKind::Scalar));
-        assert_eq!(parse_kind("blocked"), Some(KernelKind::Blocked));
+    fn parse_accepts_the_two_kinds() {
+        assert_eq!(parse_kind("exact"), Some(KernelKind::Exact));
         assert_eq!(parse_kind("f32"), Some(KernelKind::F32));
-        assert_eq!(parse_kind("  Blocked \n"), Some(KernelKind::Blocked));
+        assert_eq!(parse_kind("  Exact \n"), Some(KernelKind::Exact));
         assert_eq!(parse_kind("F32"), Some(KernelKind::F32));
     }
 
     #[test]
-    fn parse_rejects_garbage() {
-        for bad in ["", "fast", "f64", "blocked,scalar", "0"] {
+    fn parse_rejects_garbage_and_the_retired_kinds() {
+        for bad in [
+            "",
+            "fast",
+            "f64",
+            "blocked,scalar",
+            "0",
+            "scalar",
+            "blocked",
+        ] {
             assert_eq!(parse_kind(bad), None, "{bad:?} must not parse");
         }
     }
 
     #[test]
-    fn env_fallback_is_scalar() {
-        assert_eq!(kind_from_env(None), KernelKind::Scalar);
-        assert_eq!(kind_from_env(Some("blocked")), KernelKind::Blocked);
+    fn env_fallback_is_exact() {
+        assert_eq!(kind_from_env(None), KernelKind::Exact);
+        assert_eq!(kind_from_env(Some("f32")), KernelKind::F32);
+        assert_eq!(KernelKind::default(), KernelKind::Exact);
     }
 
     #[test]
-    fn invalid_kernel_override_warns_and_falls_back() {
+    fn invalid_kernel_override_warns_once_and_falls_back() {
         // the warning must be visible even if the ambient SOCMIX_LOG
         // suppressed it
         socmix_obs::set_log_level(socmix_obs::Level::Warn);
         let _ = socmix_obs::take_recent_events();
-        assert_eq!(kind_from_env(Some("quantum")), KernelKind::Scalar);
-        assert_eq!(kind_from_env(Some("fast")), KernelKind::Scalar);
+        // the retired `scalar` and `blocked` kinds computed the exact
+        // bits, so falling back to `Exact` keeps old settings' answers
+        for v in ["scalar", "blocked", "quantum", "fast"] {
+            assert_eq!(kind_from_env(Some(v)), KernelKind::Exact, "{v:?}");
+        }
         let warnings: Vec<String> = socmix_obs::take_recent_events()
             .into_iter()
             .filter(|e| e.contains("invalid SOCMIX_KERNEL"))
@@ -502,89 +324,56 @@ mod tests {
         assert_eq!(warnings.len(), 1, "got {warnings:?}");
     }
 
-    #[test]
-    fn config_builders() {
-        assert_eq!(KernelConfig::default().kind, KernelKind::Scalar);
-        assert_eq!(KernelConfig::blocked().kind, KernelKind::Blocked);
-        assert_eq!(KernelConfig::mixed_f32().kind, KernelKind::F32);
-        assert_eq!(KernelConfig::scalar().col_tile, DEFAULT_COL_TILE);
-        assert_eq!(KernelConfig::blocked().col_tile(7).col_tile, 7);
-        assert_eq!(KernelConfig::blocked().col_tile(0).col_tile, 1);
-    }
-
-    /// A tiny CSR fixture: 5 rows with varying degrees, sorted targets.
-    fn csr() -> (Vec<usize>, Vec<u32>) {
-        let adj: Vec<Vec<u32>> = vec![
-            vec![1, 2, 3, 4],
-            vec![0, 2],
-            vec![0, 1, 3],
-            vec![0, 2],
-            vec![0],
-        ];
-        let mut offsets = vec![0usize];
-        let mut targets = Vec::new();
-        for row in &adj {
-            targets.extend_from_slice(row);
-            offsets.push(targets.len());
-        }
-        (offsets, targets)
+    /// A tiny fixture: 5 rows with varying degrees (4, 2, 3, 2, 1).
+    fn fixture() -> Graph {
+        GraphBuilder::from_edges([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3)]).build()
     }
 
     #[test]
-    fn tiled_f64_gather_is_bitwise_scalar() {
-        let (offsets, targets) = csr();
-        let z: Vec<f64> = (0..5).map(|i| 1.0 / (i as f64 + 3.7)).collect();
-        let scalar: Vec<f64> = (0..5)
-            .map(|j| {
-                targets[offsets[j]..offsets[j + 1]]
-                    .iter()
-                    .fold(0.0, |a, &t| a + z[t as usize])
-            })
-            .collect();
-        for tile in [1, 2, 3, 64] {
-            let mut y = vec![0.0; 5];
-            gather_rows_f64(&offsets, &targets, &z, 0..5, tile, &mut y, |_, a| a);
-            for (a, b) in y.iter().zip(&scalar) {
-                assert_eq!(a.to_bits(), b.to_bits(), "tile {tile}");
-            }
+    fn gather_matches_naive_oracle_bitwise() {
+        let g = fixture();
+        let inv = oracle::inv_scale(&g, false);
+        let x: Vec<f64> = (0..5).map(|i| 1.0 / (i as f64 + 3.7)).collect();
+        let z: Vec<f64> = x.iter().zip(&inv).map(|(a, b)| a * b).collect();
+        let mut y = vec![0.0; 5];
+        gather_rows_f64(&g, &z, 0..5, &mut y, |_, a| a);
+        for (a, b) in y.iter().zip(&oracle::walk(&g, &x)) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
     #[test]
-    fn tiled_gather_respects_row_subrange() {
-        let (offsets, targets) = csr();
+    fn gather_respects_row_subrange() {
+        let g = fixture();
         let z = vec![1.0f64; 5];
         let mut y = vec![0.0; 2];
-        gather_rows_f64(&offsets, &targets, &z, 1..3, 2, &mut y, |_, a| a);
+        gather_rows_f64(&g, &z, 1..3, &mut y, |_, a| a);
         assert_eq!(y, vec![2.0, 3.0]); // degrees of rows 1 and 2
     }
 
     #[test]
     fn finish_sees_absolute_row_index() {
-        let (offsets, targets) = csr();
+        let g = fixture();
         let z = vec![1.0f64; 5];
         let mut y = vec![0.0; 5];
-        gather_rows_f64(&offsets, &targets, &z, 0..5, 2, &mut y, |j, a| {
-            a * (j + 1) as f64
-        });
+        gather_rows_f64(&g, &z, 0..5, &mut y, |j, a| a * (j + 1) as f64);
         assert_eq!(y, vec![4.0, 4.0, 9.0, 8.0, 5.0]);
     }
 
     #[test]
     fn f32_gather_matches_exact_sum_on_small_rows() {
-        let (offsets, targets) = csr();
+        let g = fixture();
+        let (offsets, targets) = (g.offsets(), g.raw_targets());
         let z: Vec<f32> = (0..5).map(|i| (i as f32 + 1.0) / 8.0).collect();
-        for tile in [1, 64] {
-            let mut y = vec![0.0f32; 5];
-            gather_rows_f32(&offsets, &targets, &z, 0..5, tile, &mut y, |_, a| a);
-            for (j, &v) in y.iter().enumerate() {
-                let exact: f32 = targets[offsets[j]..offsets[j + 1]]
-                    .iter()
-                    .map(|&t| z[t as usize])
-                    .sum();
-                // tiny rows: every accumulation order is exact here
-                assert!((v - exact).abs() < 1e-6, "row {j}: {v} vs {exact}");
-            }
+        let mut y = vec![0.0f32; 5];
+        gather_rows_f32(&g, &z, 0..5, &mut y, |_, a| a);
+        for (j, &v) in y.iter().enumerate() {
+            let exact: f32 = targets[offsets[j]..offsets[j + 1]]
+                .iter()
+                .map(|&t| z[t as usize])
+                .sum();
+            // tiny rows: every accumulation order is exact here
+            assert!((v - exact).abs() < 1e-6, "row {j}: {v} vs {exact}");
         }
     }
 
@@ -618,35 +407,21 @@ mod tests {
     }
 
     #[test]
-    fn multi_gather_matches_scalar_per_column_bitwise() {
-        let (offsets, targets) = csr();
-        let inv: Vec<f64> = (0..5).map(|i| 1.0 / (i as f64 + 2.0)).collect();
-        let width = 3;
+    fn multi_gather_matches_oracle_per_column_bitwise() {
+        let g = fixture();
+        let inv = oracle::inv_scale(&g, false);
         let stride = 4;
         let xs: Vec<f64> = (0..5 * stride).map(|k| (k as f64).sin()).collect();
-        for tile in [1, 2, 128] {
+        for width in [1, 3, 4] {
             let mut y = vec![0.0; 5 * stride];
-            gather_rows_multi_f64(
-                &offsets,
-                &targets,
-                &inv,
-                &xs,
-                stride,
-                width,
-                0..5,
-                tile,
-                &mut y,
-            );
+            gather_rows_multi_f64(&g, &inv, &xs, stride, width, 0..5, &mut y);
+            let want = oracle::block(&g, false, &xs, stride, width);
             for j in 0..5 {
                 for c in 0..width {
-                    let mut acc = 0.0;
-                    for &i in &targets[offsets[j]..offsets[j + 1]] {
-                        acc += xs[i as usize * stride + c] * inv[i as usize];
-                    }
                     assert_eq!(
                         y[j * stride + c].to_bits(),
-                        acc.to_bits(),
-                        "tile {tile} row {j} col {c}"
+                        want[j * stride + c].to_bits(),
+                        "width {width} row {j} col {c}"
                     );
                 }
             }

@@ -710,9 +710,7 @@ mod tests {
     }
 
     fn f32_sym_op(g: &socmix_graph::Graph) -> crate::op::SymmetricWalkOpF32<'_> {
-        use crate::kernel::KernelConfig;
-        use socmix_par::Pool;
-        crate::op::SymmetricWalkOpF32::with_kernel(g, Pool::serial(), KernelConfig::mixed_f32())
+        crate::op::SymmetricWalkOpF32::with_pool(g, socmix_par::Pool::serial())
     }
 
     #[test]

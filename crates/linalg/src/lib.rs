@@ -11,10 +11,10 @@
 //!   `S = D^{-1/2} A D^{-1/2}` (same spectrum, symmetric — the key
 //!   trick that lets us use symmetric methods), lazy and deflated
 //!   wrappers.
-//! - [`kernel`] — matvec kernel selection (`SOCMIX_KERNEL`): the
-//!   scalar baseline, a cache-blocked f64 gather (bit-for-bit equal
-//!   to scalar), and the mixed-precision f32 path with its 1e-6
-//!   tolerance contract.
+//! - [`kernel`] — the CSR gathers every operator runs (one exact f64
+//!   loop per shape, plus the f32 loop) and the `SOCMIX_KERNEL` knob
+//!   choosing between exact and mixed-precision (1e-6 tolerance)
+//!   eigensolvers.
 //! - [`multivec`] — row-major `n × B` blocks and the batched
 //!   [`multivec::MultiLinearOp`] apply: one CSR traversal serves `B`
 //!   stacked distributions, the GEMM-shaped kernel behind the
@@ -61,9 +61,13 @@ pub mod tridiag;
 pub mod vecops;
 pub mod workspace;
 
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 pub use dense::{jacobi_eigen, DenseMatrix};
 pub use distributed::{contiguous_labels, plan_shards, DistributedOp, ShardPart, ShardPlan};
-pub use kernel::{KernelConfig, KernelKind};
+pub use kernel::KernelKind;
 pub use lanczos::{
     lanczos_extreme, lanczos_extreme_mixed, lanczos_topk, LanczosOptions, LanczosResult, TopkResult,
 };

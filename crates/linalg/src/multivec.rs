@@ -13,8 +13,8 @@
 //! the same floating-point operations in the same order as the serial
 //! kernel, so batched results are bit-for-bit equal.
 
-use crate::kernel::{self, KernelKind};
-use crate::op::{LazyOp, LinearOp, WalkOp};
+use crate::kernel;
+use crate::op::{LazyOp, LinearOp, SendMut, WalkOp};
 use socmix_obs::Counter;
 
 /// Batched walk-operator applications (one CSR traversal each).
@@ -141,6 +141,11 @@ pub trait MultiLinearOp: LinearOp {
     /// `ys` must each hold at least `dim * stride` entries. This is
     /// the entry point for callers whose blocks live in arena scratch
     /// rather than an owned [`MultiVec`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if either block is shorter than `dim * stride` or
+    /// `width > stride`.
     fn apply_multi_raw(&self, xs: &[f64], ys: &mut [f64], stride: usize, width: usize);
 
     /// Computes `Y[:, 0..width] = Op · X[:, 0..width]` column-wise in
@@ -173,8 +178,11 @@ fn check_block_shapes(
 impl MultiLinearOp for WalkOp<'_> {
     fn apply_multi_raw(&self, xs: &[f64], ys: &mut [f64], stride: usize, width: usize) {
         let n = self.dim();
-        debug_assert!(xs.len() >= n * stride && ys.len() >= n * stride);
-        debug_assert!(width <= stride);
+        assert!(
+            xs.len() >= n * stride && ys.len() >= n * stride,
+            "block too short"
+        );
+        assert!(width <= stride, "active width exceeds stride");
         if width == 0 {
             return;
         }
@@ -191,58 +199,16 @@ impl MultiLinearOp for WalkOp<'_> {
             }
         }
         let g = self.graph();
-        let offsets = g.offsets();
-        let targets = g.raw_targets();
         let inv_deg = self.inv_degrees();
-        // Disjoint row ranges of y per chunk; same SendMut pattern as
-        // the serial kernel.
-        let yptr = SendMutF64(ys.as_mut_ptr());
-        let ypref = &yptr;
-        match self.kernel().kind {
-            KernelKind::Scalar => {
-                self.pool().for_each_chunk(n, move |range| {
-                    for j in range {
-                        // SAFETY: chunks own disjoint row ranges of y.
-                        let yr = unsafe {
-                            std::slice::from_raw_parts_mut(ypref.0.add(j * stride), width)
-                        };
-                        yr.fill(0.0);
-                        for &i in &targets[offsets[j]..offsets[j + 1]] {
-                            let i = i as usize;
-                            let d = inv_deg[i];
-                            let xr = &xs[i * stride..i * stride + width];
-                            // Per column: y[j,c] += x[i,c] * (1/deg i) —
-                            // the exact two-op sequence of the serial
-                            // kernel (z = x·inv rounded, accumulate).
-                            for c in 0..width {
-                                yr[c] += xr[c] * d;
-                            }
-                        }
-                    }
-                });
-            }
-            // The blocked multi-gather keeps the per-column operation
-            // sequence of the scalar path (one fma-shaped pair per
-            // edge, ascending columns), so it stays bit-for-bit equal;
-            // there is no f32 block path, so F32 shares it.
-            KernelKind::Blocked | KernelKind::F32 => {
-                // Scale the column tile down by the row footprint so a
-                // tile of x-rows still fits the same cache budget.
-                let tile = (self.kernel().col_tile / width.max(1)).max(1);
-                self.pool().for_each_chunk(n, move |range| {
-                    // SAFETY: chunks own disjoint row ranges of y.
-                    let yr = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            ypref.0.add(range.start * stride),
-                            range.len() * stride,
-                        )
-                    };
-                    kernel::gather_rows_multi_f64(
-                        offsets, targets, inv_deg, xs, stride, width, range, tile, yr,
-                    );
-                });
-            }
-        }
+        let out = SendMut(ys.as_mut_ptr());
+        let out = &out;
+        self.pool().for_each_chunk(n, |range| {
+            // SAFETY: `ys` holds at least `n * stride` entries (asserted
+            // above) and the chunks of `for_each_chunk` are disjoint
+            // ranges of `0..n`, so their row blocks are disjoint too.
+            let yr = unsafe { out.rows(range.start * stride, range.len() * stride) };
+            kernel::gather_rows_multi_f64(g, inv_deg, xs, stride, width, range, yr);
+        });
     }
 }
 
@@ -329,17 +295,6 @@ impl<'a> MultiVecMut<'a> {
         self.data
     }
 }
-
-/// Raw-pointer wrapper for disjoint-row writes (same pattern as the
-/// serial operators).
-struct SendMutF64(*mut f64);
-// SAFETY: each worker writes only the rows of its assigned chunk, and
-// chunks partition the row space, so the shared base pointer never
-// creates overlapping mutable access from two threads.
-unsafe impl Send for SendMutF64 {}
-// SAFETY: copies share only the pointer value; writes stay
-// row-disjoint per the Send argument above.
-unsafe impl Sync for SendMutF64 {}
 
 #[cfg(test)]
 mod tests {
@@ -449,11 +404,9 @@ mod tests {
     }
 
     #[test]
-    fn blocked_multi_is_bitwise_scalar() {
-        use crate::kernel::KernelConfig;
+    fn batched_walk_matches_naive_oracle_bitwise() {
         let g = diamond();
         let n = g.num_nodes();
-        let scalar = WalkOp::with_kernel(&g, Pool::serial(), KernelConfig::scalar());
         let mut x = MultiVec::zeros(n, 3);
         for c in 0..3 {
             let col: Vec<f64> = (0..n)
@@ -461,17 +414,13 @@ mod tests {
                 .collect();
             x.set_column(c, &col);
         }
-        let mut want = MultiVec::zeros(n, 3);
-        scalar.apply_multi(&x, &mut want, 3);
-        for cfg in [
-            KernelConfig::blocked(),
-            KernelConfig::blocked().col_tile(2), // force the multi-tile path
-            KernelConfig::mixed_f32(),           // f64 block path is shared
-        ] {
-            let op = WalkOp::with_kernel(&g, Pool::serial(), cfg);
+        let want = crate::oracle::block(&g, false, x.as_slice(), 3, 3);
+        for pool in [Pool::serial(), Pool::with_threads(4)] {
+            let op = WalkOp::with_pool(&g, pool);
             let mut y = MultiVec::zeros(n, 3);
             op.apply_multi(&x, &mut y, 3);
-            assert_eq!(y.as_slice(), want.as_slice(), "kernel {:?}", cfg.kind);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(y.as_slice()), bits(&want), "{pool:?}");
         }
     }
 

@@ -10,7 +10,7 @@
 //! apply.
 
 use crate::distributed::DistributedOp;
-use crate::kernel::{self, KernelConfig, KernelKind};
+use crate::kernel;
 use crate::vecops;
 use crate::workspace::{with_arena, with_scratch};
 use socmix_graph::Graph;
@@ -20,8 +20,6 @@ use socmix_par::Pool;
 /// Sparse walk-operator applications (serial kernels; the batched
 /// kernel counts separately under `linalg.matvec.multi`).
 static MATVECS: Counter = Counter::new("linalg.matvec");
-/// Applications routed through the cache-blocked f64 gather.
-static BLOCKED_MATVECS: Counter = Counter::new("linalg.matvec.blocked");
 /// Applications of the single-precision operators.
 static F32_MATVECS: Counter = Counter::new("linalg.matvec.f32");
 
@@ -54,7 +52,6 @@ pub trait LinearOp {
 pub struct WalkOp<'g> {
     graph: &'g Graph,
     pool: Pool,
-    kernel: KernelConfig,
     /// scratch: z[i] = x[i] / deg(i)
     inv_deg: Vec<f64>,
     /// The process-sharded twin when `SOCMIX_SHARDS > 1` routes this
@@ -71,14 +68,8 @@ impl<'g> WalkOp<'g> {
         Self::with_pool(graph, Pool::new())
     }
 
-    /// As [`WalkOp::new`] with an explicit thread pool. The kernel is
-    /// taken from the `SOCMIX_KERNEL` environment (scalar by default).
+    /// As [`WalkOp::new`] with an explicit thread pool.
     pub fn with_pool(graph: &'g Graph, pool: Pool) -> Self {
-        Self::with_kernel(graph, pool, KernelConfig::from_env())
-    }
-
-    /// As [`WalkOp::with_pool`] with an explicit kernel selection.
-    pub fn with_kernel(graph: &'g Graph, pool: Pool, kernel: KernelConfig) -> Self {
         let inv_deg = (0..graph.num_nodes())
             .map(|v| {
                 let d = graph.degree(v as u32);
@@ -92,7 +83,6 @@ impl<'g> WalkOp<'g> {
         WalkOp {
             graph,
             pool,
-            kernel,
             inv_deg,
             dist: crate::distributed::auto_route(graph, false),
         }
@@ -118,11 +108,6 @@ impl<'g> WalkOp<'g> {
     pub fn pool(&self) -> &Pool {
         &self.pool
     }
-
-    /// The kernel configuration in force.
-    pub fn kernel(&self) -> KernelConfig {
-        self.kernel
-    }
 }
 
 impl LinearOp for WalkOp<'_> {
@@ -143,52 +128,8 @@ impl LinearOp for WalkOp<'_> {
                 ),
             }
         }
-        let n = self.dim();
-        // z[i] = x[i]/deg(i), then gather: y[j] = Σ_{i∼j} z[i].
-        // z lives in the reusable per-thread workspace: no allocation
-        // per apply once the pool is warm.
-        with_scratch(n, |z| {
-            for ((zi, xi), inv) in z.iter_mut().zip(x).zip(&self.inv_deg) {
-                *zi = xi * inv;
-            }
-            let g = self.graph;
-            let offsets = g.offsets();
-            let targets = g.raw_targets();
-            let zref = &*z;
-            // Parallel write without locks: chunks own disjoint ranges
-            // of y.
-            let yptr = SendMut(y.as_mut_ptr());
-            let ypref = &yptr;
-            match self.kernel.kind {
-                KernelKind::Scalar => self.pool.for_each_chunk(n, move |range| {
-                    for j in range {
-                        let mut acc = 0.0;
-                        for &i in &targets[offsets[j]..offsets[j + 1]] {
-                            acc += zref[i as usize];
-                        }
-                        // SAFETY: ranges from for_each_chunk are disjoint.
-                        unsafe {
-                            *ypref.0.add(j) = acc;
-                        }
-                    }
-                }),
-                // the f64 entry point of the F32 config runs the
-                // blocked kernel: still bit-for-bit scalar-identical
-                KernelKind::Blocked | KernelKind::F32 => {
-                    BLOCKED_MATVECS.incr();
-                    let tile = self.kernel.col_tile;
-                    self.pool.for_each_chunk(n, move |range| {
-                        // SAFETY: ranges from for_each_chunk are
-                        // disjoint, so this chunk exclusively owns
-                        // y[range].
-                        let yr = unsafe {
-                            std::slice::from_raw_parts_mut(ypref.0.add(range.start), range.len())
-                        };
-                        kernel::gather_rows_f64(offsets, targets, zref, range, tile, yr, |_, a| a);
-                    });
-                }
-            }
-        });
+        // y[j] = Σ_{i∼j} x[i]/deg(i)
+        scaled_gather(self.graph, &self.pool, &self.inv_deg, x, y, |_, a| a);
     }
 }
 
@@ -201,7 +142,6 @@ impl LinearOp for WalkOp<'_> {
 pub struct SymmetricWalkOp<'g> {
     graph: &'g Graph,
     pool: Pool,
-    kernel: KernelConfig,
     inv_sqrt_deg: Vec<f64>,
     /// The process-sharded twin when `SOCMIX_SHARDS > 1` is live
     /// (bitwise-identical results; `None` = shared-memory only).
@@ -214,14 +154,8 @@ impl<'g> SymmetricWalkOp<'g> {
         Self::with_pool(graph, Pool::new())
     }
 
-    /// As [`SymmetricWalkOp::new`] with an explicit thread pool. The
-    /// kernel is taken from the `SOCMIX_KERNEL` environment.
+    /// As [`SymmetricWalkOp::new`] with an explicit thread pool.
     pub fn with_pool(graph: &'g Graph, pool: Pool) -> Self {
-        Self::with_kernel(graph, pool, KernelConfig::from_env())
-    }
-
-    /// As [`SymmetricWalkOp::with_pool`] with an explicit kernel.
-    pub fn with_kernel(graph: &'g Graph, pool: Pool, kernel: KernelConfig) -> Self {
         let inv_sqrt_deg = (0..graph.num_nodes())
             .map(|v| {
                 let d = graph.degree(v as u32);
@@ -235,7 +169,6 @@ impl<'g> SymmetricWalkOp<'g> {
         SymmetricWalkOp {
             graph,
             pool,
-            kernel,
             inv_sqrt_deg,
             dist: crate::distributed::auto_route(graph, true),
         }
@@ -253,11 +186,6 @@ impl<'g> SymmetricWalkOp<'g> {
         (0..self.graph.num_nodes())
             .map(|v| (self.graph.degree(v as u32) as f64 / total).sqrt())
             .collect()
-    }
-
-    /// The kernel configuration in force.
-    pub fn kernel(&self) -> KernelConfig {
-        self.kernel
     }
 }
 
@@ -279,51 +207,40 @@ impl LinearOp for SymmetricWalkOp<'_> {
                 ),
             }
         }
-        let n = self.dim();
-        // y[i] = (1/√deg i) Σ_{j∼i} x[j]/√deg j — z reused from the
-        // per-thread workspace like the plain walk kernel.
-        with_scratch(n, |z| {
-            for ((zi, xi), inv) in z.iter_mut().zip(x).zip(&self.inv_sqrt_deg) {
-                *zi = xi * inv;
-            }
-            let g = self.graph;
-            let offsets = g.offsets();
-            let targets = g.raw_targets();
-            let zref = &*z;
-            let inv = &self.inv_sqrt_deg;
-            let yptr = SendMut(y.as_mut_ptr());
-            let ypref = &yptr;
-            match self.kernel.kind {
-                KernelKind::Scalar => self.pool.for_each_chunk(n, move |range| {
-                    for i in range {
-                        let mut acc = 0.0;
-                        for &j in &targets[offsets[i]..offsets[i + 1]] {
-                            acc += zref[j as usize];
-                        }
-                        // SAFETY: ranges from for_each_chunk are disjoint.
-                        unsafe {
-                            *ypref.0.add(i) = acc * inv[i];
-                        }
-                    }
-                }),
-                KernelKind::Blocked | KernelKind::F32 => {
-                    BLOCKED_MATVECS.incr();
-                    let tile = self.kernel.col_tile;
-                    self.pool.for_each_chunk(n, move |range| {
-                        // SAFETY: ranges from for_each_chunk are
-                        // disjoint, so this chunk exclusively owns
-                        // y[range].
-                        let yr = unsafe {
-                            std::slice::from_raw_parts_mut(ypref.0.add(range.start), range.len())
-                        };
-                        kernel::gather_rows_f64(offsets, targets, zref, range, tile, yr, |i, a| {
-                            a * inv[i]
-                        });
-                    });
-                }
-            }
-        });
+        // y[i] = (1/√deg i) Σ_{j∼i} x[j]/√deg j
+        let inv = &self.inv_sqrt_deg;
+        scaled_gather(self.graph, &self.pool, inv, x, y, |i, a| a * inv[i]);
     }
+}
+
+/// The single-column apply shared by both walk operators:
+/// `y[j] = finish(j, Σ_{i∼j} x[i]·scale[i])`, row chunks scheduled on
+/// `pool`. The scaled copy `z` lives in the reusable per-thread
+/// workspace, so steady-state applies allocate nothing.
+fn scaled_gather(
+    graph: &Graph,
+    pool: &Pool,
+    scale: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+    finish: impl Fn(usize, f64) -> f64 + Sync,
+) {
+    let n = graph.num_nodes();
+    assert_eq!(y.len(), n, "one output entry per node");
+    with_scratch(n, |z| {
+        for ((zi, xi), s) in z.iter_mut().zip(x).zip(scale) {
+            *zi = xi * s;
+        }
+        let zref = &*z;
+        let out = SendMut(y.as_mut_ptr());
+        let out = &out;
+        pool.for_each_chunk(n, |range| {
+            // SAFETY: `y` has `n` entries and the chunks of
+            // `for_each_chunk` are disjoint ranges of `0..n`.
+            let yr = unsafe { out.rows(range.start, range.len()) };
+            kernel::gather_rows_f64(graph, zref, range, yr, &finish);
+        });
+    });
 }
 
 /// The lazy variant `(I + Op) / 2`.
@@ -458,15 +375,12 @@ pub trait LinearOpF32 {
 pub struct SymmetricWalkOpF32<'g> {
     graph: &'g Graph,
     pool: Pool,
-    col_tile: usize,
     inv_sqrt_deg: Vec<f32>,
 }
 
 impl<'g> SymmetricWalkOpF32<'g> {
-    /// Wraps a graph with an explicit pool and blocking geometry
-    /// (only `col_tile` of the config matters here — this operator
-    /// *is* the f32 kernel).
-    pub fn with_kernel(graph: &'g Graph, pool: Pool, kernel: KernelConfig) -> Self {
+    /// Wraps a graph with an explicit thread pool.
+    pub fn with_pool(graph: &'g Graph, pool: Pool) -> Self {
         let inv_sqrt_deg = (0..graph.num_nodes())
             .map(|v| {
                 let d = graph.degree(v as u32);
@@ -480,7 +394,6 @@ impl<'g> SymmetricWalkOpF32<'g> {
         SymmetricWalkOpF32 {
             graph,
             pool,
-            col_tile: kernel.col_tile,
             inv_sqrt_deg,
         }
     }
@@ -511,20 +424,15 @@ impl LinearOpF32 for SymmetricWalkOpF32<'_> {
                 *zi = xi * inv;
             }
             let g = self.graph;
-            let offsets = g.offsets();
-            let targets = g.raw_targets();
             let zref = &*z;
             let inv = &self.inv_sqrt_deg;
-            let tile = self.col_tile;
-            let yptr = SendMutF32(y.as_mut_ptr());
-            let ypref = &yptr;
-            self.pool.for_each_chunk(n, move |range| {
-                // SAFETY: ranges from for_each_chunk are disjoint, so
-                // this chunk exclusively owns y[range].
-                let yr = unsafe {
-                    std::slice::from_raw_parts_mut(ypref.0.add(range.start), range.len())
-                };
-                kernel::gather_rows_f32(offsets, targets, zref, range, tile, yr, |i, a| a * inv[i]);
+            let out = SendMut(y.as_mut_ptr());
+            let out = &out;
+            self.pool.for_each_chunk(n, |range| {
+                // SAFETY: `y` has `n` entries and the chunks of
+                // `for_each_chunk` are disjoint ranges of `0..n`.
+                let yr = unsafe { out.rows(range.start, range.len()) };
+                kernel::gather_rows_f32(g, zref, range, yr, |i, a| a * inv[i]);
             });
         });
     }
@@ -580,27 +488,37 @@ impl<Op: LinearOpF32> LinearOpF32 for DeflatedOpF32<'_, Op> {
     }
 }
 
-/// Raw-pointer wrapper so disjoint chunks can write one output slice
-/// without a lock (same pattern as `socmix-par`'s map).
-struct SendMut(*mut f64);
-// SAFETY: workers write through `base.add(i)` only for row indices
-// `i` in their own chunk, and chunks partition the output slice, so
-// the pointer never produces overlapping mutable access; `f64` is
-// trivially sendable.
-unsafe impl Send for SendMut {}
-// SAFETY: shared copies carry only the base address; disjointness of
-// the written rows (Send argument above) rules out aliased `&mut`.
-unsafe impl Sync for SendMut {}
+/// Raw-pointer handle on an output buffer whose disjoint row ranges
+/// are written by different pool chunks without a lock (same pattern
+/// as `socmix-par`'s map). Every kernel that fans one output out over
+/// `for_each_chunk` goes through it.
+pub(crate) struct SendMut<T>(pub(crate) *mut T);
 
-/// f32 counterpart of [`SendMut`] for the single-precision kernels.
-struct SendMutF32(*mut f32);
-// SAFETY: workers write through `base.add(i)` only for row indices in
-// their own chunk, and chunks partition the output slice, so the
-// pointer never produces overlapping mutable access.
-unsafe impl Send for SendMutF32 {}
-// SAFETY: shared copies carry only the base address; disjointness of
-// the written rows (Send argument above) rules out aliased `&mut`.
-unsafe impl Sync for SendMutF32 {}
+impl<T> SendMut<T> {
+    /// The `len` entries starting at `start`.
+    ///
+    /// # Safety
+    /// `start + len` must not exceed the buffer's length, the buffer
+    /// must outlive the returned slice, and no other live slice may
+    /// overlap `start..start + len` — guaranteed when the range comes
+    /// from one chunk of a `for_each_chunk` over the buffer's rows.
+    // SAFETY: caller contract (see `# Safety` above) — the range is in
+    // bounds, the buffer is live, and no other slice overlaps it.
+    pub(crate) unsafe fn rows<'a>(&self, start: usize, len: usize) -> &'a mut [T] {
+        // SAFETY: the caller contract above — in bounds, live, and
+        // exclusively owned by this chunk.
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
+    }
+}
+
+// SAFETY: the pointer is only dereferenced through `rows`, whose
+// contract gives each chunk an exclusive, disjoint slice of the
+// buffer, so no two threads ever alias the same entry; `T: Send` lets
+// the written values cross threads.
+unsafe impl<T: Send> Send for SendMut<T> {}
+// SAFETY: sharing the handle shares only the base address; writes
+// stay chunk-disjoint per the Send argument above.
+unsafe impl<T: Send> Sync for SendMut<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -713,28 +631,23 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_is_bitwise_scalar() {
+    fn exact_kernels_match_naive_oracle_bitwise() {
         let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]).build();
         let n = g.num_nodes();
         let x: Vec<f64> = (0..n).map(|i| ((i as f64) + 0.3).sin()).collect();
-        let pool = socmix_par::Pool::serial();
-        for mk in [KernelConfig::blocked(), KernelConfig::mixed_f32()] {
-            // force the multi-tile path with a tiny tile as well
-            for cfg in [mk, mk.col_tile(2)] {
-                let scalar = SymmetricWalkOp::with_kernel(&g, pool, KernelConfig::scalar());
-                let blocked = SymmetricWalkOp::with_kernel(&g, pool, cfg);
-                let a = scalar.apply_vec(&x);
-                let b = blocked.apply_vec(&x);
-                for (av, bv) in a.iter().zip(&b) {
-                    assert_eq!(av.to_bits(), bv.to_bits(), "{cfg:?}");
-                }
-                let ws = WalkOp::with_kernel(&g, pool, KernelConfig::scalar());
-                let wb = WalkOp::with_kernel(&g, pool, cfg);
-                let a = ws.apply_vec(&x);
-                let b = wb.apply_vec(&x);
-                for (av, bv) in a.iter().zip(&b) {
-                    assert_eq!(av.to_bits(), bv.to_bits(), "{cfg:?}");
-                }
+        let sym_want = crate::oracle::symmetric(&g, &x);
+        let walk_want = crate::oracle::walk(&g, &x);
+        for pool in [
+            socmix_par::Pool::serial(),
+            socmix_par::Pool::with_threads(4),
+        ] {
+            let sym = SymmetricWalkOp::with_pool(&g, pool).apply_vec(&x);
+            for (av, bv) in sym.iter().zip(&sym_want) {
+                assert_eq!(av.to_bits(), bv.to_bits(), "symmetric, {pool:?}");
+            }
+            let walk = WalkOp::with_pool(&g, pool).apply_vec(&x);
+            for (av, bv) in walk.iter().zip(&walk_want) {
+                assert_eq!(av.to_bits(), bv.to_bits(), "walk, {pool:?}");
             }
         }
     }
@@ -744,8 +657,8 @@ mod tests {
         let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]).build();
         let n = g.num_nodes();
         let pool = socmix_par::Pool::serial();
-        let op64 = SymmetricWalkOp::with_kernel(&g, pool, KernelConfig::scalar());
-        let op32 = SymmetricWalkOpF32::with_kernel(&g, pool, KernelConfig::mixed_f32());
+        let op64 = SymmetricWalkOp::with_pool(&g, pool);
+        let op32 = SymmetricWalkOpF32::with_pool(&g, pool);
         let x64: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).cos()).collect();
         let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
         let y64 = op64.apply_vec(&x64);
@@ -760,11 +673,9 @@ mod tests {
         let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]).build();
         let n = g.num_nodes();
         let x: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.9).sin()).collect();
-        let cfg = KernelConfig::mixed_f32();
-        let serial =
-            SymmetricWalkOpF32::with_kernel(&g, socmix_par::Pool::serial(), cfg).apply_vec32(&x);
-        let par = SymmetricWalkOpF32::with_kernel(&g, socmix_par::Pool::with_threads(4), cfg)
-            .apply_vec32(&x);
+        let serial = SymmetricWalkOpF32::with_pool(&g, socmix_par::Pool::serial()).apply_vec32(&x);
+        let par =
+            SymmetricWalkOpF32::with_pool(&g, socmix_par::Pool::with_threads(4)).apply_vec32(&x);
         for (a, b) in serial.iter().zip(&par) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -774,12 +685,9 @@ mod tests {
     fn deflated_f32_annihilates_basis() {
         let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0)]).build();
         let pool = socmix_par::Pool::serial();
-        let op = SymmetricWalkOpF32::with_kernel(&g, pool, KernelConfig::mixed_f32());
+        let op = SymmetricWalkOpF32::with_pool(&g, pool);
         let basis = vec![op.top_eigenvector32()];
-        let defl = DeflatedOpF32::new(
-            SymmetricWalkOpF32::with_kernel(&g, pool, KernelConfig::mixed_f32()),
-            &basis,
-        );
+        let defl = DeflatedOpF32::new(SymmetricWalkOpF32::with_pool(&g, pool), &basis);
         let y = defl.apply_vec32(&basis[0]);
         assert!(vecops::norm2_32(&y) < 1e-5, "deflated f32 op must kill u₁");
     }

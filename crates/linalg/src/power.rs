@@ -528,12 +528,11 @@ mod tests {
         DeflatedOp<'_, SymmetricWalkOp<'_>>,
         crate::op::DeflatedOpF32<'_, crate::op::SymmetricWalkOpF32<'_>>,
     ) {
-        use crate::kernel::KernelConfig;
         use crate::op::{DeflatedOpF32, SymmetricWalkOpF32};
         use socmix_par::Pool;
         let sop = SymmetricWalkOp::new(g);
         let basis = vec![sop.top_eigenvector()];
-        let sop32 = SymmetricWalkOpF32::with_kernel(g, Pool::serial(), KernelConfig::mixed_f32());
+        let sop32 = SymmetricWalkOpF32::with_pool(g, Pool::serial());
         let basis32 = vec![sop32.top_eigenvector32()];
         (
             DeflatedOp::new(sop, Box::leak(Box::new(basis))),

@@ -121,10 +121,10 @@ const MAX_RETAINED_WORDS: usize = 1 << 23; // 64 MiB
 /// A per-thread bump arena for block-sized walk buffers.
 ///
 /// The buffer pool above is sized for the O(n) scratch vectors of the
-/// serial operators; the batch evolver and the blocked kernels need
-/// *block*-shaped buffers (`n × B` ping-pong blocks, per-segment
-/// accumulators) whose sizes vary call to call, which would defeat the
-/// pool's size-class reuse and put `malloc`/`free` back on the hot
+/// serial operators; the batch evolver and the f32 operators need
+/// *block*-shaped or single-precision buffers (`n × B` ping-pong
+/// blocks, f32 scale vectors) whose sizes vary call to call, which
+/// would defeat the pool's size-class reuse and put `malloc`/`free` back on the hot
 /// path. An arena checkout is a cursor bump: allocations within one
 /// [`with_arena`] scope are disjoint sub-slices of a few long-lived
 /// slabs, and the whole scope is released by moving the cursor back.

@@ -28,18 +28,14 @@
 //! - [`par_map_indexed`] — map a function over `0..n` into a `Vec`,
 //! - [`par_for_each_chunk`] — process disjoint index ranges in parallel,
 //! - [`par_reduce_indexed`] — map over `0..n` and fold the results,
-//! - [`Pool`] — a reusable handle carrying the thread count and
-//!   [`Dispatch`] strategy ([`par_for_each_chunk_spawn`] and
-//!   [`Dispatch::Spawn`] keep the old spawn-per-call path alive as a
-//!   benchmark baseline).
+//! - [`Pool`] — a reusable handle carrying the thread count.
 //!
 //! Scheduling is dynamic: workers pull fixed-size chunks of the index
 //! space from a shared atomic cursor, so skewed workloads (e.g. sources
 //! that mix at very different speeds) still balance. Chunk geometry
-//! depends only on `(n, threads)`, never on dispatch strategy or
-//! worker wake order — and since chunks own disjoint output ranges,
-//! every result in this crate is **bit-for-bit identical** across
-//! dispatch strategies and across runs.
+//! depends only on `(n, threads)`, never on worker wake order — and
+//! since chunks own disjoint output ranges, every result in this crate
+//! is **bit-for-bit identical** across runs.
 //!
 //! # Example
 //!
@@ -59,10 +55,8 @@ mod scheduler;
 pub mod shard;
 
 pub use dag::{run_dag, run_dag_observed, DagError, DagEvent};
-pub use pool::{Dispatch, Pool};
-pub use scheduler::{
-    par_for_each_chunk, par_for_each_chunk_spawn, par_map_indexed, par_reduce_indexed, ChunkPlan,
-};
+pub use pool::Pool;
+pub use scheduler::{par_for_each_chunk, par_map_indexed, par_reduce_indexed, ChunkPlan};
 
 /// Returns the number of worker threads used by the free functions.
 ///

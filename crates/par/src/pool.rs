@@ -1,6 +1,6 @@
 //! A reusable parallelism handle over the persistent runtime.
 
-use crate::scheduler::{self, ChunkPlan};
+use crate::scheduler;
 use socmix_obs::{Histogram, Span};
 
 /// Wall time of whole pool operations (one record per `map_indexed` /
@@ -12,25 +12,10 @@ static POOL_MAP_NS: Histogram = Histogram::new("pool.map_ns");
 static POOL_CHUNKS_NS: Histogram = Histogram::new("pool.for_each_chunk_ns");
 static POOL_REDUCE_NS: Histogram = Histogram::new("pool.reduce_ns");
 
-/// How a [`Pool`] turns a job into running threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dispatch {
-    /// Hand chunks to the persistent worker pool (workers spawned
-    /// once, parked between jobs). The default: dispatch is
-    /// sub-microsecond and allocation-free in steady state.
-    #[default]
-    Persistent,
-    /// Spawn (and join) fresh scoped threads per call — the
-    /// pre-runtime behaviour, kept as a measured baseline and for
-    /// callers that must not leave parked workers behind. Chunk
-    /// geometry is identical, so results are bit-for-bit the same.
-    Spawn,
-}
-
 /// A reusable parallelism configuration.
 ///
-/// A `Pool` names a degree of parallelism and a [`Dispatch`] strategy;
-/// the actual worker threads live in a process-wide runtime that is
+/// A `Pool` names a degree of parallelism; the actual worker threads
+/// live in a process-wide runtime that is
 /// spawned lazily on the first parallel dispatch and reused by every
 /// pool thereafter (see the crate docs for the lifecycle). `Pool` is
 /// therefore still `Copy` — cloning or dropping one never spawns or
@@ -40,7 +25,6 @@ pub enum Dispatch {
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     threads: usize,
-    dispatch: Dispatch,
 }
 
 impl Pool {
@@ -48,7 +32,6 @@ impl Pool {
     pub fn new() -> Self {
         Pool {
             threads: crate::num_threads(),
-            dispatch: Dispatch::Persistent,
         }
     }
 
@@ -56,34 +39,18 @@ impl Pool {
     pub fn with_threads(threads: usize) -> Self {
         Pool {
             threads: threads.max(1),
-            dispatch: Dispatch::Persistent,
         }
     }
 
     /// A pool that always runs on the calling thread. Never touches
     /// the runtime: no threads are spawned, woken, or waited on.
     pub fn serial() -> Self {
-        Pool {
-            threads: 1,
-            dispatch: Dispatch::Persistent,
-        }
-    }
-
-    /// Switches this pool to spawn-per-call dispatch (the benchmark
-    /// baseline; see [`Dispatch::Spawn`]).
-    pub fn spawn_per_call(mut self) -> Self {
-        self.dispatch = Dispatch::Spawn;
-        self
+        Pool { threads: 1 }
     }
 
     /// The number of worker threads this pool will use.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The dispatch strategy in force.
-    pub fn dispatch(&self) -> Dispatch {
-        self.dispatch
     }
 
     /// Maps `f` over `0..n` in index order using this pool.
@@ -93,7 +60,7 @@ impl Pool {
         F: Fn(usize) -> T + Sync,
     {
         let _span = Span::start(&POOL_MAP_NS);
-        scheduler::map_indexed_dispatch(n, self.threads, self.dispatch, f)
+        scheduler::par_map_indexed_with(n, self.threads, f)
     }
 
     /// Runs `body` over disjoint chunks of `0..n` using this pool.
@@ -102,12 +69,7 @@ impl Pool {
         F: Fn(std::ops::Range<usize>) + Sync,
     {
         let _span = Span::start(&POOL_CHUNKS_NS);
-        scheduler::run_dispatch(
-            ChunkPlan::new(n, self.threads),
-            self.threads,
-            self.dispatch,
-            &body,
-        );
+        scheduler::par_for_each_chunk(n, self.threads, body);
     }
 
     /// Maps `f` over `0..n` and folds the results with `fold` using
@@ -124,7 +86,7 @@ impl Pool {
         R: Fn(T, T) -> T + Sync + Send,
     {
         let _span = Span::start(&POOL_REDUCE_NS);
-        scheduler::reduce_indexed_dispatch(n, self.threads, self.dispatch, identity, f, fold)
+        scheduler::reduce_indexed_with(n, self.threads, identity, f, fold)
     }
 }
 
@@ -156,15 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_pool_map_matches_persistent() {
-        let a = Pool::with_threads(4)
-            .spawn_per_call()
-            .map_indexed(257, |i| i * i);
-        let b = Pool::with_threads(4).map_indexed(257, |i| i * i);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn pool_reduce_matches_serial() {
         let par = Pool::with_threads(8).reduce_indexed(4000, 0u64, |i| i as u64, |a, b| a + b);
         assert_eq!(par, 4000 * 3999 / 2);
@@ -175,6 +128,5 @@ mod tests {
     #[test]
     fn default_is_new() {
         assert_eq!(Pool::default().threads(), Pool::new().threads());
-        assert_eq!(Pool::default().dispatch(), Dispatch::Persistent);
     }
 }
