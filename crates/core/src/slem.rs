@@ -5,8 +5,8 @@ use rand::SeedableRng;
 use socmix_graph::Graph;
 use socmix_linalg::power::{spectral_radius_in_complement, spectral_radius_in_complement_mixed};
 use socmix_linalg::{
-    dense, lanczos_extreme, lanczos_extreme_mixed, DeflatedOp, DeflatedOpF32, KernelKind,
-    LanczosOptions, PowerOptions, SymmetricWalkOp, SymmetricWalkOpF32,
+    dense, lanczos_extreme, lanczos_extreme_mixed, DeflatedOp, KernelKind, LanczosOptions,
+    PowerOptions, SymmetricWalkOp,
 };
 use socmix_markov::ergodicity;
 use socmix_obs::{obs_info, Counter};
@@ -223,17 +223,12 @@ impl<'g> Slem<'g> {
                 }
             }
             SlemMethod::Lanczos => {
-                let sop = SymmetricWalkOp::with_pool(g, self.pool);
-                let basis = vec![sop.top_eigenvector()];
-                let defl = DeflatedOp::new(sop, &basis);
-                let r = if self.kernel == KernelKind::F32 {
-                    let sop32 = SymmetricWalkOpF32::with_pool(g, self.pool);
-                    let basis32 = vec![sop32.top_eigenvector32()];
-                    let defl32 = DeflatedOpF32::new(sop32, &basis32);
-                    lanczos_extreme_mixed(&defl, &defl32, self.lanczos_opts, &mut rng)
-                } else {
-                    lanczos_extreme(&defl, self.lanczos_opts, &mut rng)
-                };
+                let r = self.with_deflated(|defl, defl32| match defl32 {
+                    Some(defl32) => {
+                        lanczos_extreme_mixed(defl, defl32, self.lanczos_opts, &mut rng)
+                    }
+                    None => lanczos_extreme(defl, self.lanczos_opts, &mut rng),
+                });
                 SlemEstimate {
                     mu: r.top.max(-r.bottom).clamp(0.0, 1.0),
                     lambda2: Some(r.top),
@@ -244,17 +239,12 @@ impl<'g> Slem<'g> {
                 }
             }
             SlemMethod::PowerIteration => {
-                let sop = SymmetricWalkOp::with_pool(g, self.pool);
-                let basis = vec![sop.top_eigenvector()];
-                let defl = DeflatedOp::new(sop, &basis);
-                let mu = if self.kernel == KernelKind::F32 {
-                    let sop32 = SymmetricWalkOpF32::with_pool(g, self.pool);
-                    let basis32 = vec![sop32.top_eigenvector32()];
-                    let defl32 = DeflatedOpF32::new(sop32, &basis32);
-                    spectral_radius_in_complement_mixed(&defl, &defl32, self.power_opts, &mut rng)
-                } else {
-                    spectral_radius_in_complement(&defl, self.power_opts, &mut rng)
-                };
+                let mu = self.with_deflated(|defl, defl32| match defl32 {
+                    Some(defl32) => {
+                        spectral_radius_in_complement_mixed(defl, defl32, self.power_opts, &mut rng)
+                    }
+                    None => spectral_radius_in_complement(defl, self.power_opts, &mut rng),
+                });
                 SlemEstimate {
                     mu: mu.radius.clamp(0.0, 1.0),
                     lambda2: None,
@@ -267,7 +257,29 @@ impl<'g> Slem<'g> {
             SlemMethod::Auto => unreachable!("resolved above"),
         })
     }
+
+    /// Runs `f` on the symmetric walk operator deflated of its top
+    /// eigenvector `u₁` — the operator whose extreme eigenvalues are
+    /// λ₂ and λₙ — together with its f32 instance when the kernel is
+    /// [`KernelKind::F32`] (`None` otherwise).
+    fn with_deflated<R>(
+        &self,
+        f: impl FnOnce(&Deflated<'_, f64>, Option<&Deflated<'_, f32>>) -> R,
+    ) -> R {
+        let sop = SymmetricWalkOp::with_pool(self.graph, self.pool);
+        let basis = vec![sop.top_eigenvector()];
+        let defl = DeflatedOp::new(sop, &basis);
+        if self.kernel != KernelKind::F32 {
+            return f(&defl, None);
+        }
+        let sop32 = SymmetricWalkOp::with_pool(self.graph, self.pool);
+        let basis32 = vec![sop32.top_eigenvector()];
+        f(&defl, Some(&DeflatedOp::new(sop32, &basis32)))
+    }
 }
+
+/// `S` restricted to the complement of `u₁`, at precision `T`.
+type Deflated<'a, T> = DeflatedOp<'a, SymmetricWalkOp<'a, T>, T>;
 
 #[cfg(test)]
 #[path = "../../linalg/tests/oracle/mod.rs"]

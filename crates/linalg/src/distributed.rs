@@ -30,9 +30,9 @@
 //! The cross-shard determinism tests assert this equality on the whole
 //! fixture catalog.
 
-use crate::kernel;
+use crate::kernel::{self, Real};
 use crate::multivec::MultiLinearOp;
-use crate::op::LinearOp;
+use crate::op::{inv_scale, LinearOp};
 use crate::workspace::with_scratch;
 use socmix_graph::Graph;
 use socmix_obs::Counter;
@@ -245,24 +245,11 @@ impl<'g> DistributedOp<'g> {
             })
             .collect();
         group.load(&specs)?;
-        let inv_scale = (0..graph.num_nodes())
-            .map(|v| {
-                let d = graph.degree(v as u32);
-                if d == 0 {
-                    0.0
-                } else {
-                    match finisher {
-                        Finisher::Walk => 1.0 / d as f64,
-                        Finisher::Symmetric => 1.0 / (d as f64).sqrt(),
-                    }
-                }
-            })
-            .collect();
         Ok(DistributedOp {
             graph,
             plan,
             group,
-            inv_scale,
+            inv_scale: inv_scale(graph, finisher == Finisher::Symmetric),
             finisher,
             scratch: Mutex::new(DistScratch::default()),
         })
@@ -419,7 +406,7 @@ fn local_apply(graph: &Graph, inv_scale: &[f64], finisher: Finisher, x: &[f64], 
         for ((zi, xi), inv) in z.iter_mut().zip(x).zip(inv_scale) {
             *zi = xi * inv;
         }
-        kernel::gather_rows_f64(graph, z, 0..n, y, |j, a| match finisher {
+        f64::gather_rows(graph, z, 0..n, y, |j, a| match finisher {
             Finisher::Walk => a,
             Finisher::Symmetric => a * inv_scale[j],
         });

@@ -1,18 +1,20 @@
-//! The CSR gather kernels and the `SOCMIX_KERNEL` knob.
+//! The CSR gather kernels, the [`Real`] precision trait, and the
+//! `SOCMIX_KERNEL` knob.
 //!
 //! The CSR gather `y[j] = Σ_{i∼j} z[i]` is the hardware-bound inner
 //! loop of every measurement in the workspace. Every operator runs one
 //! of three loops from this module:
 //!
-//! - [`gather_rows_f64`] — the exact single-column gather: one row at
-//!   a time, one accumulator, neighbors in storage (= ascending
-//!   column) order, with unchecked indexing justified by the CSR
-//!   invariants.
-//! - [`gather_rows_multi_f64`] — the exact multi-column gather behind
-//!   `apply_multi`: per row and active column, the same
-//!   multiply-then-accumulate sequence as the single-column path, so
-//!   batched results are bit-for-bit equal to column-at-a-time ones.
-//! - [`gather_rows_f32`] — single-precision gather. The f64 contract
+//! - `f64::gather_rows` ([`Real::gather_rows`]) — the exact
+//!   single-column gather: one row at a time, one accumulator,
+//!   neighbors in storage (= ascending column) order, with unchecked
+//!   indexing justified by the CSR invariants.
+//! - `gather_rows_multi_f64` — the exact multi-column gather behind
+//!   [`MultiLinearOp::apply_multi`](crate::MultiLinearOp::apply_multi):
+//!   per row and active column, the same multiply-then-accumulate
+//!   sequence as the single-column path, so batched results are
+//!   bit-for-bit equal to column-at-a-time ones.
+//! - `f32::gather_rows` — single-precision gather. The f64 contract
 //!   forbids reassociation, which chains every add through one
 //!   ~4-cycle-latency dependency; the f32 path trades
 //!   bit-reproducibility against f64 for a tolerance contract (see
@@ -38,7 +40,7 @@
 //! honest.
 
 use socmix_graph::Graph;
-use std::ops::Range;
+use std::ops::{AddAssign, Mul, MulAssign, Range};
 
 /// Which precision the eigensolvers run at. Only [`KernelKind::F32`]
 /// changes behaviour, and only in drivers that have a mixed path
@@ -85,37 +87,213 @@ fn parse_kind(v: &str) -> Option<KernelKind> {
     }
 }
 
-/// Exact single-column gather over `rows` of `g`: for each row `j`,
-/// `y[j - rows.start] = finish(j, Σ_{i∼j} z[i])` with the neighbors
-/// `i` taken in storage (ascending) order and summed left to right
-/// into one accumulator.
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
+}
+
+/// The precisions the solver core runs at: `f64`, the exact
+/// bit-for-bit path, and `f32`, the cheap phase of the mixed-precision
+/// drivers. Sealed: exactly these two implement it.
 ///
-/// # Panics
-///
-/// Panics unless `z` has one entry per node and `y` one per row.
-pub(crate) fn gather_rows_f64(
-    g: &Graph,
-    z: &[f64],
-    rows: Range<usize>,
-    y: &mut [f64],
-    finish: impl Fn(usize, f64) -> f64,
-) {
-    assert_eq!(z.len(), g.num_nodes(), "one input entry per node");
-    assert_eq!(y.len(), rows.len(), "one output entry per row");
-    let (offsets, targets) = (g.offsets(), g.raw_targets());
-    for (out, j) in y.iter_mut().zip(rows) {
-        let mut acc = 0.0;
-        for k in offsets[j]..offsets[j + 1] {
-            // SAFETY: `Graph::from_csr` asserts (and the binary
-            // loader validates) that offsets are non-decreasing up to
-            // `targets.len()`, so `k < offsets[j+1] ≤ targets.len()`,
-            // and that every target id is `< num_nodes() = z.len()`
-            // (asserted above).
-            unsafe {
-                acc += *z.get_unchecked(*targets.get_unchecked(k) as usize);
+/// It holds every decision that depends on precision and nothing
+/// else, so the vector ops ([`crate::vecops`]), the symmetric walk and
+/// deflation operators ([`crate::op`]) and the Krylov recurrence
+/// ([`crate::lanczos`]) are each written once. Reductions accumulate
+/// in f64 at both precisions: an f32 sum over 10⁵ terms loses ~4
+/// digits, the f32 path's whole tolerance budget.
+pub trait Real:
+    sealed::Sealed + Copy + Default + Send + Sync + Mul<Output = Self> + AddAssign + MulAssign
+{
+    /// A start vector folded through the operator is kept only if its
+    /// norm exceeds this; below it the fold is rounding noise.
+    const START_FLOOR: f64;
+    /// A Lanczos β below this means the Krylov space is exhausted at
+    /// this precision: continuing would orthogonalize rounding noise.
+    const BETA_FLOOR: f64;
+    /// The residual level in-loop convergence tests can certify at
+    /// this precision; tighter tolerances are clamped up to it.
+    const TOL_FLOOR: f64;
+    /// How far a deflation basis vector's norm may sit from 1 after
+    /// rounding a unit vector to this precision.
+    const UNIT_TOL: f64;
+    /// Whether this is the exact precision, the only one the
+    /// `SOCMIX_SHARDS` process backend (exact f64 bits) serves.
+    const EXACT: bool;
+
+    /// Rounds an f64 to this precision (identity for f64).
+    fn from_f64(x: f64) -> Self;
+
+    /// Widens to f64 (exact at both precisions).
+    fn to_f64(self) -> f64;
+
+    /// `Σ term(a[i], b[i])` over equal-length slices, accumulated in
+    /// f64 in an order fixed by the length alone. f64 sums left to
+    /// right into one accumulator, as the bit-for-bit contract
+    /// requires. f32 uses eight accumulators: a single one chains every
+    /// element through one ~4-cycle FP add, which made the pass cost
+    /// more than the matvec it checked, and the tolerance contract
+    /// permits the reassociation.
+    fn sum_pairs(a: &[Self], b: &[Self], term: impl Fn(f64, f64) -> f64) -> f64;
+
+    /// The single-column CSR gather over `rows` of `g`: for each row
+    /// `j`, `y[j - rows.start] = finish(j, Σ_{i∼j} z[i])`. A row's
+    /// result depends only on the row, so pool width never changes
+    /// bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `z` has one entry per node and `y` one per row.
+    fn gather_rows(
+        g: &Graph,
+        z: &[Self],
+        rows: Range<usize>,
+        y: &mut [Self],
+        finish: impl Fn(usize, Self) -> Self,
+    );
+}
+
+impl Real for f64 {
+    const START_FLOOR: f64 = 1e-12;
+    const BETA_FLOOR: f64 = 1e-14;
+    const TOL_FLOOR: f64 = 0.0;
+    const UNIT_TOL: f64 = 1e-8;
+    const EXACT: bool = true;
+
+    #[inline]
+    fn from_f64(x: f64) -> Self {
+        x
+    }
+
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
+    }
+
+    #[inline]
+    fn sum_pairs(a: &[f64], b: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
+        a.iter().zip(b).map(|(x, y)| term(*x, *y)).sum()
+    }
+
+    /// Exact: the neighbors `i` in storage (ascending) order, summed
+    /// left to right into one accumulator.
+    fn gather_rows(
+        g: &Graph,
+        z: &[f64],
+        rows: Range<usize>,
+        y: &mut [f64],
+        finish: impl Fn(usize, f64) -> f64,
+    ) {
+        assert_eq!(z.len(), g.num_nodes(), "one input entry per node");
+        assert_eq!(y.len(), rows.len(), "one output entry per row");
+        let (offsets, targets) = (g.offsets(), g.raw_targets());
+        for (out, j) in y.iter_mut().zip(rows) {
+            let mut acc = 0.0;
+            for k in offsets[j]..offsets[j + 1] {
+                // SAFETY: `Graph::from_csr` asserts (and the binary
+                // loader validates) that offsets are non-decreasing up
+                // to `targets.len()`, so `k < offsets[j+1] ≤
+                // targets.len()`, and that every target id is
+                // `< num_nodes() = z.len()` (asserted above).
+                unsafe {
+                    acc += *z.get_unchecked(*targets.get_unchecked(k) as usize);
+                }
+            }
+            *out = finish(j, acc);
+        }
+    }
+}
+
+impl Real for f32 {
+    // One ulp of an O(1) value in f32 is ≈1.2e-7 and the gathered
+    // matvec noise sits a little above that, hence the 1e-6 floors.
+    const START_FLOOR: f64 = 1e-6;
+    const BETA_FLOOR: f64 = 1e-6;
+    const TOL_FLOOR: f64 = 1e-6;
+    const UNIT_TOL: f64 = 1e-4;
+    const EXACT: bool = false;
+
+    #[inline]
+    fn from_f64(x: f64) -> Self {
+        x as f32
+    }
+
+    #[inline]
+    fn to_f64(self) -> f64 {
+        f64::from(self)
+    }
+
+    #[inline]
+    fn sum_pairs(a: &[f32], b: &[f32], term: impl Fn(f64, f64) -> f64) -> f64 {
+        let mut acc = [0.0f64; 8];
+        let mut ca = a.chunks_exact(8);
+        let mut cb = b.chunks_exact(8);
+        for (xs, ys) in ca.by_ref().zip(cb.by_ref()) {
+            for (a, (x, y)) in acc.iter_mut().zip(xs.iter().zip(ys)) {
+                *a += term(f64::from(*x), f64::from(*y));
             }
         }
-        *out = finish(j, acc);
+        let mut tail = 0.0f64;
+        for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+            tail += term(f64::from(*x), f64::from(*y));
+        }
+        ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
+    }
+
+    /// Free to reassociate: on AVX-512 hardware each row sum runs as
+    /// 16-lane vector gathers (see `avx512`); elsewhere four
+    /// independent accumulators per row break the FP-add latency
+    /// chain. Either way the per-row instruction sequence depends only
+    /// on the row.
+    fn gather_rows(
+        g: &Graph,
+        z: &[f32],
+        rows: Range<usize>,
+        y: &mut [f32],
+        finish: impl Fn(usize, f32) -> f32,
+    ) {
+        assert_eq!(z.len(), g.num_nodes(), "one input entry per node");
+        assert_eq!(y.len(), rows.len(), "one output entry per row");
+        let (offsets, targets) = (g.offsets(), g.raw_targets());
+        #[cfg(target_arch = "x86_64")]
+        if avx512::available() {
+            for (out, j) in y.iter_mut().zip(rows) {
+                // SAFETY: `available()` just confirmed AVX-512F at
+                // runtime; the `Graph` invariants (see the f64 gather)
+                // give `offsets[j] ≤ offsets[j+1] ≤ targets.len()` with
+                // every target id `< num_nodes() = z.len()` (asserted
+                // above).
+                let sum = unsafe { avx512::row_sum(targets, offsets[j], offsets[j + 1], z) };
+                *out = finish(j, sum);
+            }
+            return;
+        }
+        for (out, j) in y.iter_mut().zip(rows) {
+            let end = offsets[j + 1];
+            let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            let mut k = offsets[j];
+            while k + 4 <= end {
+                // SAFETY: `k+3 < offsets[j+1] ≤ targets.len()` and target
+                // ids are `< num_nodes() = z.len()` (the `Graph`
+                // invariants, see the f64 gather).
+                unsafe {
+                    a0 += *z.get_unchecked(*targets.get_unchecked(k) as usize);
+                    a1 += *z.get_unchecked(*targets.get_unchecked(k + 1) as usize);
+                    a2 += *z.get_unchecked(*targets.get_unchecked(k + 2) as usize);
+                    a3 += *z.get_unchecked(*targets.get_unchecked(k + 3) as usize);
+                }
+                k += 4;
+            }
+            while k < end {
+                // SAFETY: same CSR bounds argument as above.
+                unsafe {
+                    a0 += *z.get_unchecked(*targets.get_unchecked(k) as usize);
+                }
+                k += 1;
+            }
+            *out = finish(j, (a0 + a1) + (a2 + a3));
+        }
     }
 }
 
@@ -155,68 +333,7 @@ pub(crate) fn gather_rows_multi_f64(
     }
 }
 
-/// f32 gather over `rows`. Unlike the f64 kernels this one is free to
-/// reassociate: on AVX-512 hardware each row sum runs as 16-lane
-/// vector gathers (see [`avx512`]); elsewhere four independent
-/// accumulators per row break the FP-add latency chain. Either way
-/// the per-row instruction sequence depends only on the row, so
-/// results are bitwise identical across pool widths on a given
-/// machine.
-///
-/// # Panics
-///
-/// Panics unless `z` has one entry per node and `y` one per row.
-pub(crate) fn gather_rows_f32(
-    g: &Graph,
-    z: &[f32],
-    rows: Range<usize>,
-    y: &mut [f32],
-    finish: impl Fn(usize, f32) -> f32,
-) {
-    assert_eq!(z.len(), g.num_nodes(), "one input entry per node");
-    assert_eq!(y.len(), rows.len(), "one output entry per row");
-    let (offsets, targets) = (g.offsets(), g.raw_targets());
-    #[cfg(target_arch = "x86_64")]
-    if avx512::available() {
-        for (out, j) in y.iter_mut().zip(rows) {
-            // SAFETY: `available()` just confirmed AVX-512F at
-            // runtime; the `Graph` invariants (see `gather_rows_f64`)
-            // give `offsets[j] ≤ offsets[j+1] ≤ targets.len()` with
-            // every target id `< num_nodes() = z.len()` (asserted
-            // above).
-            let sum = unsafe { avx512::row_sum(targets, offsets[j], offsets[j + 1], z) };
-            *out = finish(j, sum);
-        }
-        return;
-    }
-    for (out, j) in y.iter_mut().zip(rows) {
-        let end = offsets[j + 1];
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-        let mut k = offsets[j];
-        while k + 4 <= end {
-            // SAFETY: `k+3 < offsets[j+1] ≤ targets.len()` and target
-            // ids are `< num_nodes() = z.len()` (the `Graph`
-            // invariants, see `gather_rows_f64`).
-            unsafe {
-                a0 += *z.get_unchecked(*targets.get_unchecked(k) as usize);
-                a1 += *z.get_unchecked(*targets.get_unchecked(k + 1) as usize);
-                a2 += *z.get_unchecked(*targets.get_unchecked(k + 2) as usize);
-                a3 += *z.get_unchecked(*targets.get_unchecked(k + 3) as usize);
-            }
-            k += 4;
-        }
-        while k < end {
-            // SAFETY: same CSR bounds argument as above.
-            unsafe {
-                a0 += *z.get_unchecked(*targets.get_unchecked(k) as usize);
-            }
-            k += 1;
-        }
-        *out = finish(j, (a0 + a1) + (a2 + a3));
-    }
-}
-
-/// The AVX-512F row-sum kernel for [`gather_rows_f32`]. Compiled only
+/// The AVX-512F row-sum kernel for the f32 gather. Compiled only
 /// on x86-64 and entered only after [`avx512::available`] confirms the
 /// feature at runtime; every other target takes the scalar
 /// four-accumulator path.
@@ -336,7 +453,7 @@ mod tests {
         let x: Vec<f64> = (0..5).map(|i| 1.0 / (i as f64 + 3.7)).collect();
         let z: Vec<f64> = x.iter().zip(&inv).map(|(a, b)| a * b).collect();
         let mut y = vec![0.0; 5];
-        gather_rows_f64(&g, &z, 0..5, &mut y, |_, a| a);
+        f64::gather_rows(&g, &z, 0..5, &mut y, |_, a| a);
         for (a, b) in y.iter().zip(&oracle::walk(&g, &x)) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -347,7 +464,7 @@ mod tests {
         let g = fixture();
         let z = vec![1.0f64; 5];
         let mut y = vec![0.0; 2];
-        gather_rows_f64(&g, &z, 1..3, &mut y, |_, a| a);
+        f64::gather_rows(&g, &z, 1..3, &mut y, |_, a| a);
         assert_eq!(y, vec![2.0, 3.0]); // degrees of rows 1 and 2
     }
 
@@ -356,7 +473,7 @@ mod tests {
         let g = fixture();
         let z = vec![1.0f64; 5];
         let mut y = vec![0.0; 5];
-        gather_rows_f64(&g, &z, 0..5, &mut y, |j, a| a * (j + 1) as f64);
+        f64::gather_rows(&g, &z, 0..5, &mut y, |j, a| a * (j + 1) as f64);
         assert_eq!(y, vec![4.0, 4.0, 9.0, 8.0, 5.0]);
     }
 
@@ -366,7 +483,7 @@ mod tests {
         let (offsets, targets) = (g.offsets(), g.raw_targets());
         let z: Vec<f32> = (0..5).map(|i| (i as f32 + 1.0) / 8.0).collect();
         let mut y = vec![0.0f32; 5];
-        gather_rows_f32(&g, &z, 0..5, &mut y, |_, a| a);
+        f32::gather_rows(&g, &z, 0..5, &mut y, |_, a| a);
         for (j, &v) in y.iter().enumerate() {
             let exact: f32 = targets[offsets[j]..offsets[j + 1]]
                 .iter()

@@ -13,11 +13,10 @@
 //! is the right trade. For graphs too large for the basis to fit in
 //! memory, use [`crate::power::power_iteration`], which needs O(n).
 
-use crate::op::{LinearOp, LinearOpF32};
+use crate::kernel::Real;
+use crate::op::LinearOp;
 use crate::tridiag::tridiag_eigen;
-use crate::vecops::{
-    axpy, dot, dot32, norm2, norm2_32, normalize, normalize32, project_out, project_out32, scale,
-};
+use crate::vecops::{axpy, dot, norm2, normalize, project_out, resid_norm, scale};
 use rand::Rng;
 use socmix_obs::{obs_debug, Counter, Histogram, Span};
 
@@ -29,14 +28,6 @@ static MIXED_RUNS: Counter = Counter::new("linalg.lanczos.mixed_runs");
 /// trace timeline one span per SLEM solve.
 static RUN_NS: Histogram = Histogram::new("linalg.lanczos.run_ns");
 
-/// β below this level in the f32 recurrence means the Krylov space is
-/// exhausted *at f32 resolution* — continuing would only orthogonalize
-/// rounding noise.
-const F32_BETA_FLOOR: f64 = 1e-6;
-/// Ritz-residual level the f32 recurrence can meaningfully certify;
-/// in-loop convergence checks stop here even when `opts.tol` is
-/// tighter, handing the rest to the f64 polish.
-const F32_RESIDUAL_FLOOR: f64 = 1e-6;
 /// Residual tolerance the polished f64 Ritz pairs are held to when
 /// reporting `converged`: the basis itself carries f32-level error, so
 /// tolerances tighter than this are not attainable on the mixed path.
@@ -82,6 +73,153 @@ pub struct LanczosResult {
     pub converged: bool,
 }
 
+/// What the extreme drivers report when the operator is zero on the
+/// start vector: a zero spectrum.
+const ZERO_SPECTRUM: LanczosResult = LanczosResult {
+    top: 0.0,
+    bottom: 0.0,
+    top_residual: 0.0,
+    bottom_residual: 0.0,
+    iterations: 0,
+    converged: true,
+};
+
+/// The start vector of every iterative solver in this crate: entries
+/// drawn uniformly from `[−½, ½)` in f64 and rounded once to `T`, then
+/// folded through one application of `op` — for a
+/// [`crate::op::DeflatedOp`] that also projects out the deflated
+/// directions — unless the fold nearly vanishes, in which case the raw
+/// draw is kept. `None` when the result normalizes to zero.
+pub(crate) fn start_vector<T: Real, Op: LinearOp<T>, R: Rng + ?Sized>(
+    op: &Op,
+    rng: &mut R,
+) -> Option<Vec<T>> {
+    let mut v: Vec<T> = (0..op.dim())
+        .map(|_| T::from_f64(rng.random::<f64>() - 0.5))
+        .collect();
+    let w = op.apply_vec(&v);
+    if norm2(&w) > T::START_FLOOR {
+        v = w;
+    }
+    (normalize(&mut v) != 0.0).then_some(v)
+}
+
+/// The state of one Lanczos run: the orthonormal Krylov basis and the
+/// symmetric tridiagonal matrix `T` (diagonal `alphas`, off-diagonal
+/// `betas[..m − 1]`, and `betas[m − 1]` the residual coupling, zero
+/// once the space is exhausted). The basis may hold one vector more
+/// than `T` has rows.
+struct Krylov<T> {
+    basis: Vec<Vec<T>>,
+    alphas: Vec<f64>,
+    betas: Vec<f64>,
+}
+
+impl<T: Real> Krylov<T> {
+    /// The Lanczos recurrence with full reorthogonalization, at
+    /// precision `T` with every coefficient in f64 — the one loop all
+    /// drivers in this module run. Starts from the unit vector `v`,
+    /// takes at most `max_iter` steps, stops early when `β` falls below
+    /// `T::BETA_FLOOR` (an invariant subspace) or when `stop`, asked
+    /// with the current `(alphas, betas)` every `check_every` steps,
+    /// says so.
+    fn run<Op: LinearOp<T>>(
+        op: &Op,
+        v: Vec<T>,
+        max_iter: usize,
+        check_every: usize,
+        mut stop: impl FnMut(&[f64], &[f64]) -> bool,
+    ) -> Self {
+        let mut k = Krylov {
+            basis: vec![v],
+            alphas: Vec::new(),
+            betas: Vec::new(),
+        };
+        for j in 0..max_iter {
+            STEPS.incr();
+            // `w` is the only per-step allocation left: it becomes the
+            // next basis vector (storage the algorithm must keep),
+            // while the operator's own scratch is reused across applies.
+            let mut w = vec![T::default(); op.dim()];
+            op.apply(&k.basis[j], &mut w);
+            let alpha = dot(&w, &k.basis[j]);
+            axpy(-alpha, &k.basis[j], &mut w);
+            if j > 0 {
+                axpy(-k.betas[j - 1], &k.basis[j - 1], &mut w);
+            }
+            // full reorthogonalization, two passes
+            for _ in 0..2 {
+                for b in &k.basis {
+                    project_out(&mut w, b);
+                }
+            }
+            k.alphas.push(alpha);
+            let beta = norm2(&w);
+            if beta < T::BETA_FLOOR {
+                // invariant subspace found: the tridiagonal matrix is
+                // exact at this precision's resolution
+                k.betas.push(0.0);
+                break;
+            }
+            k.betas.push(beta);
+            if k.basis.len() == max_iter {
+                break;
+            }
+            normalize(&mut w);
+            k.basis.push(w);
+            if (j + 1) % check_every == 0 && stop(&k.alphas, &k.betas) {
+                break;
+            }
+        }
+        k
+    }
+
+    /// The Ritz values (descending) and the matching eigenvectors `s`
+    /// of the tridiagonal matrix.
+    fn ritz_pairs(&self) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let m = self.alphas.len();
+        tridiag_eigen(&self.alphas, &self.betas[..m - 1])
+    }
+
+    /// The unit Ritz vector `Σ_i s_i · v_i`, accumulated in f64.
+    fn ritz_vector(&self, s: &[f64]) -> Vec<f64> {
+        let mut rv = vec![0.0f64; self.basis[0].len()];
+        for (b, &c) in self.basis.iter().zip(s) {
+            for (ri, &bi) in rv.iter_mut().zip(b) {
+                *ri += c * bi.to_f64();
+            }
+        }
+        normalize(&mut rv);
+        rv
+    }
+}
+
+/// The extreme Ritz pairs of the tridiagonal matrix, with the residual
+/// bounds `|β_m| · |s_{m,i}|` (`s` the bottom component of the pair's
+/// eigenvector) judged against `tol`.
+fn extreme_pairs(alphas: &[f64], betas: &[f64], tol: f64) -> LanczosResult {
+    let m = alphas.len();
+    let (vals, vecs) = tridiag_eigen(alphas, &betas[..m - 1]);
+    let beta_last = betas[m - 1].abs();
+    let top_residual = beta_last * vecs[0][m - 1].abs();
+    let bottom_residual = beta_last * vecs[m - 1][m - 1].abs();
+    // residual trajectory: one event per convergence check
+    obs_debug!(
+        "linalg.lanczos",
+        "step {m}: ritz [{:.8}, {:.8}] residuals [{top_residual:.3e}, {bottom_residual:.3e}]",
+        vals[m - 1],
+        vals[0]
+    );
+    LanczosResult {
+        top: vals[0],
+        bottom: vals[m - 1],
+        top_residual,
+        bottom_residual,
+        iterations: m,
+        converged: top_residual < tol && bottom_residual < tol,
+    }
+}
+
 /// Runs Lanczos on a symmetric operator and returns its extreme
 /// eigenvalues.
 ///
@@ -103,113 +241,24 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
     assert!(n > 0, "operator must be non-empty");
     RUNS.incr();
     let _span = Span::start(&RUN_NS);
-    let max_iter = opts.max_iter.min(n).max(1);
-
-    // random start, normalized
-    let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
-    // one operator application folds the start into the operator's
-    // range (for a DeflatedOp this also projects out the deflated
-    // directions); if it vanishes, fall back to the raw random vector.
-    {
-        let w = op.apply_vec(&v);
-        if norm2(&w) > 1e-12 {
-            v = w;
-        }
-    }
-    if normalize(&mut v) == 0.0 {
-        // operator is zero on this vector; report a zero spectrum
-        return LanczosResult {
-            top: 0.0,
-            bottom: 0.0,
-            top_residual: 0.0,
-            bottom_residual: 0.0,
-            iterations: 0,
-            converged: true,
-        };
-    }
-
-    let mut basis: Vec<Vec<f64>> = vec![v];
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-
-    let result =
-        |alphas: &[f64], betas: &[f64], iters: usize, forced: bool| -> Option<LanczosResult> {
-            if alphas.is_empty() {
-                return None;
-            }
-            let k = alphas.len();
-            let (vals, vecs) = tridiag_eigen(alphas, &betas[..k - 1]);
-            let beta_last = betas.get(k - 1).copied().unwrap_or(0.0);
-            // residual bound for Ritz pair i: |β_k| · |s_{k,i}| where s is
-            // the bottom component of T's eigenvector
-            let res_top = beta_last.abs() * vecs[0][k - 1].abs();
-            let res_bot = beta_last.abs() * vecs[k - 1][k - 1].abs();
-            // residual trajectory: one event per convergence check
-            obs_debug!(
-                "linalg.lanczos",
-                "step {iters}: ritz [{:.8}, {:.8}] residuals [{res_top:.3e}, {res_bot:.3e}]",
-                vals[k - 1],
-                vals[0]
-            );
-            let converged = res_top < opts.tol && res_bot < opts.tol;
-            if converged || forced {
-                Some(LanczosResult {
-                    top: vals[0],
-                    bottom: vals[k - 1],
-                    top_residual: res_top,
-                    bottom_residual: res_bot,
-                    iterations: iters,
-                    converged,
-                })
-            } else {
-                None
-            }
-        };
-
-    for j in 0..max_iter {
-        STEPS.incr();
-        // `w` is the only per-step allocation left: it becomes the
-        // next basis vector (storage the algorithm must keep), while
-        // the operator's own scratch is reused across applies.
-        let mut w = vec![0.0; n];
-        op.apply(&basis[j], &mut w);
-        let alpha = dot(&w, &basis[j]);
-        axpy(-alpha, &basis[j], &mut w);
-        if j > 0 {
-            let beta_prev = betas[j - 1];
-            axpy(-beta_prev, &basis[j - 1], &mut w);
-        }
-        // full reorthogonalization, two passes
-        for _ in 0..2 {
-            for b in &basis {
-                project_out(&mut w, b);
-            }
-        }
-        alphas.push(alpha);
-        let beta = norm2(&w);
-        if beta < 1e-14 {
-            // invariant subspace found: the tridiagonal matrix is exact
-            betas.push(0.0);
-            return result(&alphas, &betas, j + 1, true).expect("nonempty");
-        }
-        betas.push(beta);
-        if basis.len() == max_iter {
-            break;
-        }
-        normalize(&mut w);
-        basis.push(w);
-
-        if (j + 1) % opts.check_every == 0 {
-            if let Some(r) = result(&alphas, &betas, j + 1, false) {
-                return r;
-            }
-        }
-    }
-    let iters = alphas.len();
-    result(&alphas, &betas, iters, true).expect("nonempty")
+    let Some(v) = start_vector(op, rng) else {
+        return ZERO_SPECTRUM;
+    };
+    let mut found = None;
+    let k = Krylov::run(
+        op,
+        v,
+        opts.max_iter.min(n).max(1),
+        opts.check_every,
+        |a, b| {
+            found = Some(extreme_pairs(a, b, opts.tol)).filter(|r| r.converged);
+            found.is_some()
+        },
+    );
+    found.unwrap_or_else(|| extreme_pairs(&k.alphas, &k.betas, opts.tol))
 }
 
-/// Mixed-precision Lanczos: the three-term recurrence and the full
+/// Mixed-precision Lanczos: the recurrence and the full
 /// reorthogonalization run entirely in f32 (half the memory traffic
 /// and basis footprint), with every reduction accumulated in f64; the
 /// extreme Ritz vectors are then reconstructed in f64, refined with a
@@ -219,10 +268,12 @@ pub fn lanczos_extreme<Op: LinearOp, R: Rng + ?Sized>(
 /// `op64` and `op32` must represent the same operator at the two
 /// precisions. Because the Rayleigh quotient is quadratically accurate
 /// in the vector error, an f32-accurate basis (vector error ≈1e-6)
-/// yields eigenvalues accurate to ≈1e-12 after the polish. Residuals
-/// and `converged` are measured in f64 against
-/// `opts.tol.max(1e-5)` — tolerances tighter than the floor are not
-/// attainable from an f32 basis and are reported honestly as such.
+/// yields eigenvalues accurate to ≈1e-12 after the polish. The f32
+/// loop stops once its Ritz residuals reach the larger of `opts.tol`
+/// and the f32 floor (1e-6). Residuals and `converged` are measured in
+/// f64 against `opts.tol.max(1e-5)` — tolerances tighter than the
+/// floor are not attainable from an f32 basis and are reported
+/// honestly as such.
 ///
 /// # Panics
 ///
@@ -235,7 +286,7 @@ pub fn lanczos_extreme_mixed<Op64, Op32, R>(
 ) -> LanczosResult
 where
     Op64: LinearOp,
-    Op32: LinearOpF32,
+    Op32: LinearOp<f32>,
     R: Rng + ?Sized,
 {
     let n = op64.dim();
@@ -244,96 +295,22 @@ where
     RUNS.incr();
     MIXED_RUNS.incr();
     let _span = Span::start(&RUN_NS);
-    let max_iter = opts.max_iter.min(n).max(1);
-
-    // random start, folded into the operator's range (projects out the
-    // deflated directions when Op is deflated), in f32
-    let mut v32: Vec<f32> = (0..n).map(|_| (rng.random::<f64>() - 0.5) as f32).collect();
-    {
-        let mut w32 = vec![0.0f32; n];
-        op32.apply32(&v32, &mut w32);
-        if norm2_32(&w32) > 1e-6 {
-            v32 = w32;
-        }
-    }
-    if normalize32(&mut v32) == 0.0 {
-        return LanczosResult {
-            top: 0.0,
-            bottom: 0.0,
-            top_residual: 0.0,
-            bottom_residual: 0.0,
-            iterations: 0,
-            converged: true,
-        };
-    }
-
-    let mut basis: Vec<Vec<f32>> = vec![v32];
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-    let loop_tol = opts.tol.max(F32_RESIDUAL_FLOOR);
-
-    for j in 0..max_iter {
-        STEPS.incr();
-        let mut w = vec![0.0f32; n];
-        op32.apply32(&basis[j], &mut w);
-        let alpha = dot32(&w, &basis[j]);
-        crate::vecops::axpy32(-(alpha as f32), &basis[j], &mut w);
-        if j > 0 {
-            crate::vecops::axpy32(-(betas[j - 1] as f32), &basis[j - 1], &mut w);
-        }
-        // full reorthogonalization, two passes (coefficients in f64)
-        for _ in 0..2 {
-            for b in &basis {
-                project_out32(&mut w, b);
-            }
-        }
-        alphas.push(alpha);
-        let beta = norm2_32(&w);
-        if beta < F32_BETA_FLOOR {
-            // Krylov space exhausted at f32 resolution
-            betas.push(0.0);
-            break;
-        }
-        betas.push(beta);
-        if basis.len() == max_iter {
-            break;
-        }
-        normalize32(&mut w);
-        basis.push(w);
-
-        if (j + 1) % opts.check_every == 0 {
-            let k = alphas.len();
-            let (vals, vecs) = tridiag_eigen(&alphas, &betas[..k - 1]);
-            let res_top = betas[k - 1].abs() * vecs[0][k - 1].abs();
-            let res_bot = betas[k - 1].abs() * vecs[k - 1][k - 1].abs();
-            obs_debug!(
-                "linalg.lanczos",
-                "mixed step {k}: ritz [{:.8}, {:.8}] residuals [{res_top:.3e}, {res_bot:.3e}]",
-                vals[k - 1],
-                vals[0]
-            );
-            if res_top < loop_tol && res_bot < loop_tol {
-                break;
-            }
-        }
-    }
+    let Some(v) = start_vector(op32, rng) else {
+        return ZERO_SPECTRUM;
+    };
+    let loop_tol = opts.tol.max(f32::TOL_FLOOR);
+    let k = Krylov::run(
+        op32,
+        v,
+        opts.max_iter.min(n).max(1),
+        opts.check_every,
+        |a, b| extreme_pairs(a, b, loop_tol).converged,
+    );
 
     // --- f64 polish: reconstruct the extreme Ritz vectors from the
     // f32 basis, refine each with a few shifted power steps, and
     // re-measure everything in f64.
-    let m = alphas.len();
-    let (_, vecs) = tridiag_eigen(&alphas, &betas[..m - 1]);
-    let reconstruct = |sv: &[f64]| -> Vec<f64> {
-        let mut rv = vec![0.0f64; n];
-        for (i, b) in basis.iter().take(m).enumerate() {
-            let c = sv[i];
-            for (ri, &bi) in rv.iter_mut().zip(b) {
-                *ri += c * f64::from(bi);
-            }
-        }
-        normalize(&mut rv);
-        rv
-    };
+    //
     // `shift = +1` refines toward the top of the spectrum via the
     // half-shifted operator (I + Op)/2, whose dominant eigenvector is
     // the wanted one; `shift = -1` uses (I − Op)/2 for the bottom.
@@ -352,11 +329,12 @@ where
         }
         op64.apply(&v, &mut w);
         let lambda = dot(&v, &w);
-        axpy(-lambda, &v, &mut w);
-        (lambda, norm2(&w))
+        (lambda, resid_norm(&w, &v, lambda))
     };
-    let (top, top_residual) = polish(reconstruct(&vecs[0]), 1.0);
-    let (bottom, bottom_residual) = polish(reconstruct(&vecs[m - 1]), -1.0);
+    let (_, vecs) = k.ritz_pairs();
+    let m = vecs.len();
+    let (top, top_residual) = polish(k.ritz_vector(&vecs[0]), 1.0);
+    let (bottom, bottom_residual) = polish(k.ritz_vector(&vecs[m - 1]), -1.0);
     let mixed_tol = opts.tol.max(MIXED_TOL_FLOOR);
     LanczosResult {
         top,
@@ -401,88 +379,43 @@ pub fn lanczos_topk<Op: LinearOp, R: Rng + ?Sized>(
     assert!(n > 0 && k >= 1);
     RUNS.incr();
     let _span = Span::start(&RUN_NS);
-    let max_iter = opts.max_iter.min(n).max(k);
-
-    let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
-    {
-        let w = op.apply_vec(&v);
-        if norm2(&w) > 1e-12 {
-            v = w;
-        }
-    }
-    if normalize(&mut v) == 0.0 {
+    let Some(v) = start_vector(op, rng) else {
         return TopkResult {
             values: vec![0.0; k.min(n)],
             vectors: vec![vec![0.0; n]; k.min(n)],
             residuals: vec![0.0; k.min(n)],
             iterations: 0,
         };
-    }
-    let mut basis: Vec<Vec<f64>> = vec![v];
-    let mut alphas: Vec<f64> = Vec::new();
-    let mut betas: Vec<f64> = Vec::new();
-    let mut exhausted = false;
-
-    for j in 0..max_iter {
-        STEPS.incr();
-        let mut w = vec![0.0; n];
-        op.apply(&basis[j], &mut w);
-        let alpha = dot(&w, &basis[j]);
-        axpy(-alpha, &basis[j], &mut w);
-        if j > 0 {
-            axpy(-betas[j - 1], &basis[j - 1], &mut w);
-        }
-        for _ in 0..2 {
-            for b in &basis {
-                project_out(&mut w, b);
+    };
+    // convergence check on the k-th pair
+    let kr = Krylov::run(
+        op,
+        v,
+        opts.max_iter.min(n).max(k),
+        opts.check_every,
+        |a, b| {
+            let m = a.len();
+            if m < k {
+                return false;
             }
-        }
-        alphas.push(alpha);
-        let beta = norm2(&w);
-        if beta < 1e-14 {
-            betas.push(0.0);
-            exhausted = true;
-            break;
-        }
-        betas.push(beta);
-        if basis.len() == max_iter {
-            break;
-        }
-        normalize(&mut w);
-        basis.push(w);
-
-        // convergence check on the k-th pair
-        if (j + 1) % opts.check_every == 0 && j + 1 >= k {
-            let m = alphas.len();
-            let (_, vecs) = tridiag_eigen(&alphas, &betas[..m - 1]);
-            let res_k = betas[m - 1].abs() * vecs[k.min(m) - 1][m - 1].abs();
+            let (_, vecs) = tridiag_eigen(a, &b[..m - 1]);
+            let res_k = b[m - 1].abs() * vecs[k - 1][m - 1].abs();
             obs_debug!("linalg.lanczos", "topk step {m}: residual {res_k:.3e}");
-            if res_k < opts.tol {
-                break;
-            }
-        }
-    }
-    let m = alphas.len();
-    let (vals, vecs) = tridiag_eigen(&alphas, &betas[..m - 1]);
-    let beta_last = if exhausted { 0.0 } else { betas[m - 1] };
+            res_k < opts.tol
+        },
+    );
+    let (vals, vecs) = kr.ritz_pairs();
+    let m = vals.len();
     let kk = k.min(m);
-    let mut out_vecs = Vec::with_capacity(kk);
-    let mut residuals = Vec::with_capacity(kk);
-    for sv in vecs.iter().take(kk) {
-        // Ritz vector: Σ_i s_{i,j} · v_i (the basis may hold one more
-        // vector than the tridiagonal matrix has rows)
-        let mut rv = vec![0.0f64; n];
-        for (i, b) in basis.iter().take(m).enumerate() {
-            axpy(sv[i], b, &mut rv);
-        }
-        normalize(&mut rv);
-        out_vecs.push(rv);
-        residuals.push(beta_last.abs() * sv[m - 1].abs());
-    }
+    // zero when the space was exhausted
+    let beta_last = kr.betas[m - 1].abs();
     TopkResult {
         values: vals[..kk].to_vec(),
-        vectors: out_vecs,
-        residuals,
+        vectors: vecs[..kk].iter().map(|s| kr.ritz_vector(s)).collect(),
+        residuals: vecs[..kk]
+            .iter()
+            .map(|s| beta_last * s[m - 1].abs())
+            .collect(),
         iterations: m,
     }
 }
@@ -571,22 +504,7 @@ mod tests {
 
     #[test]
     fn deflated_matches_dense_slem_on_random_graph() {
-        use rand::Rng;
-        let mut grng = StdRng::seed_from_u64(7);
-        // connected random graph on 60 nodes
-        let mut b = GraphBuilder::new();
-        for v in 1..60u32 {
-            let u = grng.random_range(0..v);
-            b.add_edge(u, v);
-        }
-        for _ in 0..120 {
-            let u = grng.random_range(0..60u32);
-            let v = grng.random_range(0..60u32);
-            if u != v {
-                b.add_edge(u, v);
-            }
-        }
-        let g = b.build();
+        let g = tests_support::random_connected(7);
         let expect = slem_dense(&g);
         let sop = SymmetricWalkOp::new(&g);
         let basis = vec![sop.top_eigenvector()];
@@ -600,15 +518,7 @@ mod tests {
     #[test]
     fn bipartite_bottom_is_minus_one() {
         // K_{3,3}: spectrum {1, 0, …, -1}
-        let g = {
-            let mut b = GraphBuilder::new();
-            for u in 0..3u32 {
-                for v in 0..3u32 {
-                    b.add_edge(u, 3 + v);
-                }
-            }
-            b.build()
-        };
+        let g = tests_support::k33();
         let op = SymmetricWalkOp::new(&g);
         let mut rng = StdRng::seed_from_u64(4);
         let r = lanczos_extreme(&op, LanczosOptions::default(), &mut rng);
@@ -709,20 +619,11 @@ mod tests {
         assert_close(r.values[1], (2.0 * std::f64::consts::PI / 31.0).cos(), 1e-7);
     }
 
-    fn f32_sym_op(g: &socmix_graph::Graph) -> crate::op::SymmetricWalkOpF32<'_> {
-        crate::op::SymmetricWalkOpF32::with_pool(g, socmix_par::Pool::serial())
-    }
-
     #[test]
     fn mixed_deflated_odd_cycle_closed_form() {
         let n = 9;
         let g = tests_support::big_cycle(n);
-        let sop = SymmetricWalkOp::new(&g);
-        let basis = vec![sop.top_eigenvector()];
-        let defl = DeflatedOp::new(sop, &basis);
-        let sop32 = f32_sym_op(&g);
-        let basis32 = vec![sop32.top_eigenvector32()];
-        let defl32 = crate::op::DeflatedOpF32::new(sop32, &basis32);
+        let (defl, defl32) = tests_support::deflated_pair(&g);
         let mut rng = StdRng::seed_from_u64(30);
         let r = lanczos_extreme_mixed(&defl, &defl32, LanczosOptions::default(), &mut rng);
         let mu = r.top.max(-r.bottom);
@@ -736,28 +637,9 @@ mod tests {
 
     #[test]
     fn mixed_matches_dense_slem_on_random_graph() {
-        use rand::Rng;
-        let mut grng = StdRng::seed_from_u64(31);
-        let mut b = GraphBuilder::new();
-        for v in 1..60u32 {
-            let u = grng.random_range(0..v);
-            b.add_edge(u, v);
-        }
-        for _ in 0..120 {
-            let u = grng.random_range(0..60u32);
-            let v = grng.random_range(0..60u32);
-            if u != v {
-                b.add_edge(u, v);
-            }
-        }
-        let g = b.build();
+        let g = tests_support::random_connected(31);
         let expect = slem_dense(&g);
-        let sop = SymmetricWalkOp::new(&g);
-        let basis = vec![sop.top_eigenvector()];
-        let defl = DeflatedOp::new(sop, &basis);
-        let sop32 = f32_sym_op(&g);
-        let basis32 = vec![sop32.top_eigenvector32()];
-        let defl32 = crate::op::DeflatedOpF32::new(sop32, &basis32);
+        let (defl, defl32) = tests_support::deflated_pair(&g);
         let mut rng = StdRng::seed_from_u64(32);
         let r = lanczos_extreme_mixed(&defl, &defl32, LanczosOptions::default(), &mut rng);
         let mu = r.top.max(-r.bottom);
@@ -766,17 +648,9 @@ mod tests {
 
     #[test]
     fn mixed_bipartite_bottom_is_minus_one() {
-        let g = {
-            let mut b = GraphBuilder::new();
-            for u in 0..3u32 {
-                for v in 0..3u32 {
-                    b.add_edge(u, 3 + v);
-                }
-            }
-            b.build()
-        };
+        let g = tests_support::k33();
         let op = SymmetricWalkOp::new(&g);
-        let op32 = f32_sym_op(&g);
+        let op32 = SymmetricWalkOp::<f32>::with_pool(&g, socmix_par::Pool::serial());
         let mut rng = StdRng::seed_from_u64(33);
         let r = lanczos_extreme_mixed(&op, &op32, LanczosOptions::default(), &mut rng);
         assert_close(r.bottom, -1.0, 1e-6);
@@ -799,6 +673,9 @@ mod tests {
 
 #[cfg(test)]
 pub(crate) mod tests_support {
+    use crate::op::{DeflatedOp, SymmetricWalkOp};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use socmix_graph::{Graph, GraphBuilder};
 
     pub fn big_cycle(n: usize) -> Graph {
@@ -807,5 +684,48 @@ pub(crate) mod tests_support {
             b.add_edge(i, (i + 1) % n as u32);
         }
         b.build()
+    }
+
+    /// K_{3,3}: spectrum {1, 0, …, −1}.
+    pub fn k33() -> Graph {
+        GraphBuilder::from_edges((0..9u32).map(|k| (k / 3, 3 + k % 3))).build()
+    }
+
+    /// A connected random graph on 60 nodes: a random tree plus up to
+    /// 120 random edges.
+    pub fn random_connected(seed: u64) -> Graph {
+        let mut grng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new();
+        for v in 1..60u32 {
+            let u = grng.random_range(0..v);
+            b.add_edge(u, v);
+        }
+        for _ in 0..120 {
+            let u = grng.random_range(0..60u32);
+            let v = grng.random_range(0..60u32);
+            if u != v {
+                b.add_edge(u, v);
+            }
+        }
+        b.build()
+    }
+
+    /// The deflated symmetric walk operator of `g` at both precisions
+    /// (serial pool for the f32 one), as the mixed drivers take them.
+    #[allow(clippy::type_complexity)]
+    pub fn deflated_pair(
+        g: &Graph,
+    ) -> (
+        DeflatedOp<'_, SymmetricWalkOp<'_>>,
+        DeflatedOp<'_, SymmetricWalkOp<'_, f32>, f32>,
+    ) {
+        let sop = SymmetricWalkOp::new(g);
+        let basis = vec![sop.top_eigenvector()];
+        let sop32 = SymmetricWalkOp::<f32>::with_pool(g, socmix_par::Pool::serial());
+        let basis32 = vec![sop32.top_eigenvector()];
+        (
+            DeflatedOp::new(sop, Box::leak(Box::new(basis))),
+            DeflatedOp::new(sop32, Box::leak(Box::new(basis32))),
+        )
     }
 }

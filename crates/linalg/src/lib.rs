@@ -12,9 +12,12 @@
 //!   trick that lets us use symmetric methods), lazy and deflated
 //!   wrappers.
 //! - [`kernel`] — the CSR gathers every operator runs (one exact f64
-//!   loop per shape, plus the f32 loop) and the `SOCMIX_KERNEL` knob
-//!   choosing between exact and mixed-precision (1e-6 tolerance)
-//!   eigensolvers.
+//!   loop per shape, plus the f32 loop), the sealed [`Real`] trait over
+//!   f32 and f64, and the `SOCMIX_KERNEL` knob choosing between exact
+//!   and mixed-precision (1e-6 tolerance) eigensolvers. `LinearOp`,
+//!   `SymmetricWalkOp`, `DeflatedOp`, the vector ops and the Lanczos
+//!   recurrence are each written once over `T: Real` (default `f64`):
+//!   the mixed drivers run the same code at f32, then polish in f64.
 //! - [`multivec`] — row-major `n × B` blocks and the batched
 //!   [`multivec::MultiLinearOp`] apply: one CSR traversal serves `B`
 //!   stacked distributions, the GEMM-shaped kernel behind the
@@ -67,15 +70,12 @@ mod oracle;
 
 pub use dense::{jacobi_eigen, DenseMatrix};
 pub use distributed::{contiguous_labels, plan_shards, DistributedOp, ShardPart, ShardPlan};
-pub use kernel::KernelKind;
+pub use kernel::{KernelKind, Real};
 pub use lanczos::{
     lanczos_extreme, lanczos_extreme_mixed, lanczos_topk, LanczosOptions, LanczosResult, TopkResult,
 };
 pub use multivec::{MultiLinearOp, MultiVec, MultiVecMut};
-pub use op::{
-    DeflatedOp, DeflatedOpF32, LazyOp, LinearOp, LinearOpF32, SymmetricWalkOp, SymmetricWalkOpF32,
-    WalkOp,
-};
+pub use op::{DeflatedOp, LazyOp, LinearOp, SymmetricWalkOp, WalkOp};
 pub use power::{
     power_iteration, power_iteration_mixed, spectral_radius_in_complement,
     spectral_radius_in_complement_mixed, PowerOptions, PowerResult, SpectralRadius,

@@ -9,7 +9,7 @@
 //! `B` contiguous doubles, which the compiler auto-vectorizes.
 //!
 //! [`MultiLinearOp::apply_multi`] is the batched counterpart of
-//! [`LinearOp::apply`](crate::LinearOp::apply); per column it performs
+//! [`LinearOp::apply`]; per column it performs
 //! the same floating-point operations in the same order as the serial
 //! kernel, so batched results are bit-for-bit equal.
 
@@ -132,7 +132,7 @@ impl MultiVec {
 ///
 /// For every active column `c`, `apply_multi` must produce exactly the
 /// floating-point result of the serial
-/// [`LinearOp::apply`](crate::LinearOp::apply) on that column: same
+/// [`LinearOp::apply`] on that column: same
 /// operations, same order, no reassociation. The batch engine's
 /// equivalence tests rely on it.
 pub trait MultiLinearOp: LinearOp {

@@ -1,5 +1,12 @@
 //! Matrix-free linear operators over a CSR graph.
 //!
+//! [`LinearOp`], [`SymmetricWalkOp`] and [`DeflatedOp`] take a
+//! [`Real`] precision parameter that defaults to `f64`: the f64
+//! instances are the exact, bit-for-bit operators every estimator
+//! uses, and the f32 instances are what the mixed-precision drivers
+//! iterate on (same graph, same pool, tolerance contract instead of
+//! bits). [`WalkOp`], [`LazyOp`] and [`DenseOp`] are f64 only.
+//!
 //! Operator applications are the hot path of every measurement in the
 //! workspace, so they are engineered to be **allocation-free**: the
 //! per-apply scratch (the `z` scale vector of [`WalkOp`] and
@@ -10,7 +17,7 @@
 //! apply.
 
 use crate::distributed::DistributedOp;
-use crate::kernel;
+use crate::kernel::Real;
 use crate::vecops;
 use crate::workspace::{with_arena, with_scratch};
 use socmix_graph::Graph;
@@ -20,23 +27,30 @@ use socmix_par::Pool;
 /// Sparse walk-operator applications (serial kernels; the batched
 /// kernel counts separately under `linalg.matvec.multi`).
 static MATVECS: Counter = Counter::new("linalg.matvec");
-/// Applications of the single-precision operators.
+/// Applications of the f32 symmetric walk operator.
 static F32_MATVECS: Counter = Counter::new("linalg.matvec.f32");
 
-/// A (square) linear operator applied matrix-free.
+/// A (square) linear operator applied matrix-free at precision `T`.
 ///
 /// Operators over graphs never materialize a matrix; `apply` computes
 /// `y = Op·x` in O(m) with one gather pass over the CSR arrays.
-pub trait LinearOp {
+///
+/// The f64 operators are exact: no reassociation, so results are
+/// bit-reproducible. The f32 operators are free to reassociate — their
+/// contract is a tolerance (µ within 1e-6 of the f64 answer after the
+/// mixed drivers' f64 polish) — but for a fixed input their result is
+/// still deterministic and pool-width independent: each output row's
+/// accumulation order is fixed, only row scheduling varies.
+pub trait LinearOp<T: Real = f64> {
     /// Dimension of the (square) operator.
     fn dim(&self) -> usize;
 
     /// Computes `y = Op · x`. Both slices have length [`LinearOp::dim`].
-    fn apply(&self, x: &[f64], y: &mut [f64]);
+    fn apply(&self, x: &[T], y: &mut [T]);
 
     /// Convenience allocating wrapper around [`LinearOp::apply`].
-    fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.dim()];
+    fn apply_vec(&self, x: &[T]) -> Vec<T> {
+        let mut y = vec![T::default(); self.dim()];
         self.apply(x, &mut y);
         y
     }
@@ -70,20 +84,10 @@ impl<'g> WalkOp<'g> {
 
     /// As [`WalkOp::new`] with an explicit thread pool.
     pub fn with_pool(graph: &'g Graph, pool: Pool) -> Self {
-        let inv_deg = (0..graph.num_nodes())
-            .map(|v| {
-                let d = graph.degree(v as u32);
-                if d == 0 {
-                    0.0
-                } else {
-                    1.0 / d as f64
-                }
-            })
-            .collect();
         WalkOp {
             graph,
             pool,
-            inv_deg,
+            inv_deg: inv_scale(graph, false),
             dist: crate::distributed::auto_route(graph, false),
         }
     }
@@ -129,62 +133,58 @@ impl LinearOp for WalkOp<'_> {
             }
         }
         // y[j] = Σ_{i∼j} x[i]/deg(i)
-        scaled_gather(self.graph, &self.pool, &self.inv_deg, x, y, |_, a| a);
+        with_scratch(x.len(), |z| {
+            scaled_gather(self.graph, &self.pool, &self.inv_deg, x, z, y, |_, a| a)
+        });
     }
 }
 
-/// The symmetric normalization `S = D^{-1/2} A D^{-1/2}`.
+/// The symmetric normalization `S = D^{-1/2} A D^{-1/2}`, applied at
+/// precision `T`.
 ///
 /// `S = D^{1/2} P D^{-1/2}` is similar to `P`, so it has the same
 /// (real) spectrum, and being symmetric it is what Lanczos and Jacobi
 /// operate on. Its top eigenvector is known in closed form:
 /// `u₁ ∝ D^{1/2} 𝟙` (see [`SymmetricWalkOp::top_eigenvector`]).
-pub struct SymmetricWalkOp<'g> {
+pub struct SymmetricWalkOp<'g, T: Real = f64> {
     graph: &'g Graph,
     pool: Pool,
-    inv_sqrt_deg: Vec<f64>,
+    inv_sqrt_deg: Vec<T>,
     /// The process-sharded twin when `SOCMIX_SHARDS > 1` is live
-    /// (bitwise-identical results; `None` = shared-memory only).
+    /// (bitwise-identical results; `None` = shared-memory only, and
+    /// always `None` off the exact precision).
     dist: Option<Box<DistributedOp<'g>>>,
 }
 
 impl<'g> SymmetricWalkOp<'g> {
-    /// Wraps a graph.
+    /// Wraps a graph (exact f64 operator, default pool).
     pub fn new(graph: &'g Graph) -> Self {
         Self::with_pool(graph, Pool::new())
     }
+}
 
-    /// As [`SymmetricWalkOp::new`] with an explicit thread pool.
+impl<'g, T: Real> SymmetricWalkOp<'g, T> {
+    /// Wraps a graph with an explicit thread pool.
     pub fn with_pool(graph: &'g Graph, pool: Pool) -> Self {
-        let inv_sqrt_deg = (0..graph.num_nodes())
-            .map(|v| {
-                let d = graph.degree(v as u32);
-                if d == 0 {
-                    0.0
-                } else {
-                    1.0 / (d as f64).sqrt()
-                }
-            })
-            .collect();
         SymmetricWalkOp {
             graph,
             pool,
-            inv_sqrt_deg,
-            dist: crate::distributed::auto_route(graph, true),
+            inv_sqrt_deg: inv_scale(graph, true),
+            dist: if T::EXACT {
+                crate::distributed::auto_route(graph, true)
+            } else {
+                None
+            },
         }
     }
 
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
     /// The unit eigenvector of `S` for λ₁ = 1: `D^{1/2}𝟙 / ‖D^{1/2}𝟙‖`,
-    /// i.e. `u₁[v] = √deg(v) / √(2m)`.
-    pub fn top_eigenvector(&self) -> Vec<f64> {
+    /// i.e. `u₁[v] = √deg(v) / √(2m)` (computed in f64, rounded once
+    /// to `T`).
+    pub fn top_eigenvector(&self) -> Vec<T> {
         let total = self.graph.total_degree() as f64;
         (0..self.graph.num_nodes())
-            .map(|v| (self.graph.degree(v as u32) as f64 / total).sqrt())
+            .map(|v| T::from_f64((self.graph.degree(v as u32) as f64 / total).sqrt()))
             .collect()
     }
 }
@@ -209,37 +209,70 @@ impl LinearOp for SymmetricWalkOp<'_> {
         }
         // y[i] = (1/√deg i) Σ_{j∼i} x[j]/√deg j
         let inv = &self.inv_sqrt_deg;
-        scaled_gather(self.graph, &self.pool, inv, x, y, |i, a| a * inv[i]);
+        with_scratch(x.len(), |z| {
+            scaled_gather(self.graph, &self.pool, inv, x, z, y, |i, a| a * inv[i])
+        });
     }
 }
 
-/// The single-column apply shared by both walk operators:
-/// `y[j] = finish(j, Σ_{i∼j} x[i]·scale[i])`, row chunks scheduled on
-/// `pool`. The scaled copy `z` lives in the reusable per-thread
-/// workspace, so steady-state applies allocate nothing.
-fn scaled_gather(
+/// The f32 apply: same formula, its `z` scratch from the per-thread
+/// arena, and counted under `linalg.matvec.f32` so `linalg.matvec`
+/// stays a count of exact applies.
+impl LinearOp<f32> for SymmetricWalkOp<'_, f32> {
+    fn dim(&self) -> usize {
+        self.graph.num_nodes()
+    }
+
+    fn apply(&self, x: &[f32], y: &mut [f32]) {
+        assert_eq!(x.len(), self.dim());
+        F32_MATVECS.incr();
+        let inv = &self.inv_sqrt_deg;
+        with_arena(|arena| {
+            let z = arena.alloc(x.len());
+            scaled_gather(self.graph, &self.pool, inv, x, z, y, |i, a| a * inv[i])
+        });
+    }
+}
+
+/// The input scale of the walk operators, computed in f64 and rounded
+/// once to `T`: `1/√deg(v)` (symmetric) or `1/deg(v)`, 0 for isolated
+/// nodes.
+pub(crate) fn inv_scale<T: Real>(graph: &Graph, symmetric: bool) -> Vec<T> {
+    (0..graph.num_nodes() as u32)
+        .map(|v| match graph.degree(v) {
+            0 => T::default(),
+            d if symmetric => T::from_f64(1.0 / (d as f64).sqrt()),
+            d => T::from_f64(1.0 / d as f64),
+        })
+        .collect()
+}
+
+/// The single-column apply shared by both walk operators at both
+/// precisions: `z = x·scale`, then `y[j] = finish(j, Σ_{i∼j} z[i])`
+/// with row chunks scheduled on `pool`. The caller supplies `z` from
+/// reusable scratch, so steady-state applies allocate nothing.
+fn scaled_gather<T: Real>(
     graph: &Graph,
     pool: &Pool,
-    scale: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    finish: impl Fn(usize, f64) -> f64 + Sync,
+    scale: &[T],
+    x: &[T],
+    z: &mut [T],
+    y: &mut [T],
+    finish: impl Fn(usize, T) -> T + Sync,
 ) {
     let n = graph.num_nodes();
     assert_eq!(y.len(), n, "one output entry per node");
-    with_scratch(n, |z| {
-        for ((zi, xi), s) in z.iter_mut().zip(x).zip(scale) {
-            *zi = xi * s;
-        }
-        let zref = &*z;
-        let out = SendMut(y.as_mut_ptr());
-        let out = &out;
-        pool.for_each_chunk(n, |range| {
-            // SAFETY: `y` has `n` entries and the chunks of
-            // `for_each_chunk` are disjoint ranges of `0..n`.
-            let yr = unsafe { out.rows(range.start, range.len()) };
-            kernel::gather_rows_f64(graph, zref, range, yr, &finish);
-        });
+    for ((zi, xi), s) in z.iter_mut().zip(x).zip(scale) {
+        *zi = *xi * *s;
+    }
+    let zref = &*z;
+    let out = SendMut(y.as_mut_ptr());
+    let out = &out;
+    pool.for_each_chunk(n, |range| {
+        // SAFETY: `y` has `n` entries and the chunks of
+        // `for_each_chunk` are disjoint ranges of `0..n`.
+        let yr = unsafe { out.rows(range.start, range.len()) };
+        T::gather_rows(graph, zref, range, yr, &finish);
     });
 }
 
@@ -278,36 +311,40 @@ impl<Op: LinearOp> LinearOp for LazyOp<Op> {
 }
 
 /// Deflation wrapper: applies `Op` restricted to the orthogonal
-/// complement of a set of known *unit* eigenvectors.
+/// complement of a set of known *unit* eigenvectors, at precision `T`.
 ///
-/// Both the input and the output are projected, so iterating this
-/// operator converges to the extreme eigenvalues of the complement —
-/// for [`SymmetricWalkOp`] with `u₁` deflated, that is exactly
-/// `λ₂` (top) and `λₙ` (bottom), the two ingredients of the SLEM.
-pub struct DeflatedOp<'a, Op> {
+/// Iterating this operator converges to the extreme eigenvalues of
+/// the complement — for [`SymmetricWalkOp`] with `u₁` deflated, that
+/// is exactly `λ₂` (top) and `λₙ` (bottom), the two ingredients of
+/// the SLEM.
+pub struct DeflatedOp<'a, Op, T: Real = f64> {
     inner: Op,
-    basis: &'a [Vec<f64>],
+    basis: &'a [Vec<T>],
 }
 
-impl<'a, Op: LinearOp> DeflatedOp<'a, Op> {
+impl<'a, T: Real, Op: LinearOp<T>> DeflatedOp<'a, Op, T> {
     /// Wraps `inner`, deflating the span of `basis` (each vector must
     /// be unit-norm; vectors should be mutually orthogonal).
-    pub fn new(inner: Op, basis: &'a [Vec<f64>]) -> Self {
+    pub fn new(inner: Op, basis: &'a [Vec<T>]) -> Self {
         for b in basis {
             debug_assert_eq!(b.len(), inner.dim());
-            debug_assert!((vecops::norm2(b) - 1.0).abs() < 1e-8, "basis must be unit");
+            debug_assert!(
+                (vecops::norm2(b) - 1.0).abs() < T::UNIT_TOL,
+                "basis must be unit"
+            );
         }
         DeflatedOp { inner, basis }
     }
 
     /// Projects `x` onto the orthogonal complement of the basis.
-    pub fn project(&self, x: &mut [f64]) {
+    pub fn project(&self, x: &mut [T]) {
         for b in self.basis {
             vecops::project_out(x, b);
         }
     }
 }
 
+/// The exact apply projects both the input and the output: `P·Op·P`.
 impl<Op: LinearOp> LinearOp for DeflatedOp<'_, Op> {
     fn dim(&self) -> usize {
         self.inner.dim()
@@ -321,6 +358,26 @@ impl<Op: LinearOp> LinearOp for DeflatedOp<'_, Op> {
             self.project(xp);
             self.inner.apply(xp, y);
         });
+        self.project(y);
+    }
+}
+
+/// The f32 apply projects the output only: `P·Op`. The input
+/// projection buys nothing the tolerance contract can measure:
+/// deflation presumes the basis spans an invariant subspace of `Op`
+/// (`S·b ≈ b` for the walk operator's top eigenvector), so for
+/// `x = x⊥ + c·b` the skipped term is `P·S·(c·b) = c·P·b + O(c·ε) =
+/// O(c·ε)` — f32 noise. On the complement itself (where every
+/// projected output, hence every power/Lanczos iterate, lives) the
+/// two applies are identical. Skipping it saves an O(n) copy and
+/// projection per matvec in the mixed drivers' hot loop.
+impl<Op: LinearOp<f32>> LinearOp<f32> for DeflatedOp<'_, Op, f32> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+
+    fn apply(&self, x: &[f32], y: &mut [f32]) {
+        self.inner.apply(x, y);
         self.project(y);
     }
 }
@@ -341,150 +398,6 @@ impl LinearOp for DenseOp {
         for (i, yi) in y.iter_mut().enumerate().take(self.n) {
             *yi = vecops::dot(&self.data[i * self.n..(i + 1) * self.n], x);
         }
-    }
-}
-
-/// A (square) linear operator applied matrix-free in **f32**.
-///
-/// The single-precision side of the mixed-precision drivers
-/// ([`crate::power::power_iteration_mixed`],
-/// [`crate::lanczos::lanczos_extreme_mixed`]): iterations run here,
-/// final answers are polished through the paired f64 operator. Unlike
-/// [`LinearOp`], implementations are free to reassociate sums — the
-/// contract is a tolerance (µ within 1e-6 of the f64 answer), not
-/// bit-reproducibility against f64. For a fixed input the result is
-/// still deterministic and pool-width independent: each output row's
-/// accumulation order is fixed, only row scheduling varies.
-pub trait LinearOpF32 {
-    /// Dimension of the (square) operator.
-    fn dim(&self) -> usize;
-
-    /// Computes `y = Op · x` in f32.
-    fn apply32(&self, x: &[f32], y: &mut [f32]);
-
-    /// Convenience allocating wrapper around [`LinearOpF32::apply32`].
-    fn apply_vec32(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0.0f32; self.dim()];
-        self.apply32(x, &mut y);
-        y
-    }
-}
-
-/// Single-precision twin of [`SymmetricWalkOp`], built from the same
-/// graph and pool for the mixed-precision drivers.
-pub struct SymmetricWalkOpF32<'g> {
-    graph: &'g Graph,
-    pool: Pool,
-    inv_sqrt_deg: Vec<f32>,
-}
-
-impl<'g> SymmetricWalkOpF32<'g> {
-    /// Wraps a graph with an explicit thread pool.
-    pub fn with_pool(graph: &'g Graph, pool: Pool) -> Self {
-        let inv_sqrt_deg = (0..graph.num_nodes())
-            .map(|v| {
-                let d = graph.degree(v as u32);
-                if d == 0 {
-                    0.0
-                } else {
-                    (1.0 / (d as f64).sqrt()) as f32
-                }
-            })
-            .collect();
-        SymmetricWalkOpF32 {
-            graph,
-            pool,
-            inv_sqrt_deg,
-        }
-    }
-
-    /// The top eigenvector `u₁ = D^{1/2}𝟙 / ‖·‖` in f32 (computed in
-    /// f64, rounded once).
-    pub fn top_eigenvector32(&self) -> Vec<f32> {
-        let total = self.graph.total_degree() as f64;
-        (0..self.graph.num_nodes())
-            .map(|v| (self.graph.degree(v as u32) as f64 / total).sqrt() as f32)
-            .collect()
-    }
-}
-
-impl LinearOpF32 for SymmetricWalkOpF32<'_> {
-    fn dim(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    fn apply32(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.dim());
-        assert_eq!(y.len(), self.dim());
-        F32_MATVECS.incr();
-        let n = self.dim();
-        with_arena(|arena| {
-            let z = arena.alloc_f32(n);
-            for ((zi, xi), inv) in z.iter_mut().zip(x).zip(&self.inv_sqrt_deg) {
-                *zi = xi * inv;
-            }
-            let g = self.graph;
-            let zref = &*z;
-            let inv = &self.inv_sqrt_deg;
-            let out = SendMut(y.as_mut_ptr());
-            let out = &out;
-            self.pool.for_each_chunk(n, |range| {
-                // SAFETY: `y` has `n` entries and the chunks of
-                // `for_each_chunk` are disjoint ranges of `0..n`.
-                let yr = unsafe { out.rows(range.start, range.len()) };
-                kernel::gather_rows_f32(g, zref, range, yr, |i, a| a * inv[i]);
-            });
-        });
-    }
-}
-
-/// Single-precision twin of [`DeflatedOp`]: projections in f32 with
-/// f64-accumulated coefficients.
-pub struct DeflatedOpF32<'a, Op> {
-    inner: Op,
-    basis: &'a [Vec<f32>],
-}
-
-impl<'a, Op: LinearOpF32> DeflatedOpF32<'a, Op> {
-    /// Wraps `inner`, deflating the span of the (unit) f32 `basis`.
-    pub fn new(inner: Op, basis: &'a [Vec<f32>]) -> Self {
-        for b in basis {
-            debug_assert_eq!(b.len(), inner.dim());
-            debug_assert!(
-                (vecops::norm2_32(b) - 1.0).abs() < 1e-4,
-                "basis must be unit"
-            );
-        }
-        DeflatedOpF32 { inner, basis }
-    }
-
-    /// Projects `x` onto the orthogonal complement of the basis.
-    pub fn project32(&self, x: &mut [f32]) {
-        for b in self.basis {
-            vecops::project_out32(x, b);
-        }
-    }
-}
-
-impl<Op: LinearOpF32> LinearOpF32 for DeflatedOpF32<'_, Op> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    /// Applies `P·inner` (output-side projection only). The f64
-    /// [`DeflatedOp`] applies the full `P·inner·P`; here the input
-    /// projection is dropped because it buys nothing the tolerance
-    /// contract can measure: deflation presumes the basis spans an
-    /// invariant subspace of `inner` (`S·b ≈ b` for the walk
-    /// operator's top eigenvector), so for `x = x⊥ + c·b` the skipped
-    /// term is `P·S·(c·b) = c·P·b + O(c·ε) = O(c·ε)` — f32 noise. On
-    /// the complement itself (where every projected output, hence
-    /// every power/Lanczos iterate, lives) the two operators are
-    /// identical. Skipping it saves an O(n) copy and projection per
-    /// matvec in the mixed drivers' hot loop.
-    fn apply32(&self, x: &[f32], y: &mut [f32]) {
-        self.inner.apply32(x, y);
-        self.project32(y);
     }
 }
 
@@ -653,43 +566,14 @@ mod tests {
     }
 
     #[test]
-    fn f32_op_tracks_f64_within_tolerance() {
-        let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]).build();
-        let n = g.num_nodes();
-        let pool = socmix_par::Pool::serial();
-        let op64 = SymmetricWalkOp::with_pool(&g, pool);
-        let op32 = SymmetricWalkOpF32::with_pool(&g, pool);
-        let x64: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.7).cos()).collect();
-        let x32: Vec<f32> = x64.iter().map(|&v| v as f32).collect();
-        let y64 = op64.apply_vec(&x64);
-        let y32 = op32.apply_vec32(&x32);
-        for (a, b) in y64.iter().zip(&y32) {
-            assert!((a - f64::from(*b)).abs() < 1e-6, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn f32_op_is_pool_width_independent() {
-        let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0)]).build();
-        let n = g.num_nodes();
-        let x: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.9).sin()).collect();
-        let serial = SymmetricWalkOpF32::with_pool(&g, socmix_par::Pool::serial()).apply_vec32(&x);
-        let par =
-            SymmetricWalkOpF32::with_pool(&g, socmix_par::Pool::with_threads(4)).apply_vec32(&x);
-        for (a, b) in serial.iter().zip(&par) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn deflated_f32_annihilates_basis() {
         let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0)]).build();
         let pool = socmix_par::Pool::serial();
-        let op = SymmetricWalkOpF32::with_pool(&g, pool);
-        let basis = vec![op.top_eigenvector32()];
-        let defl = DeflatedOpF32::new(SymmetricWalkOpF32::with_pool(&g, pool), &basis);
-        let y = defl.apply_vec32(&basis[0]);
-        assert!(vecops::norm2_32(&y) < 1e-5, "deflated f32 op must kill u₁");
+        let op = SymmetricWalkOp::<f32>::with_pool(&g, pool);
+        let basis = vec![op.top_eigenvector()];
+        let defl = DeflatedOp::new(SymmetricWalkOp::<f32>::with_pool(&g, pool), &basis);
+        let y = defl.apply_vec(&basis[0]);
+        assert!(vecops::norm2(&y) < 1e-5, "deflated f32 op must kill u₁");
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! but the Rayleigh-quotient *modulus* still converges to µ, which is
 //! all the mixing bounds need.
 
-use crate::op::{LinearOp, LinearOpF32};
-use crate::vecops::{
-    axpy, dot, dot32, norm2, norm2_32, normalize, normalize32, resid_norm32, scale32,
-};
+use crate::kernel::Real;
+use crate::lanczos::start_vector;
+use crate::op::LinearOp;
+use crate::vecops::{dot, norm2, normalize, resid_norm, scale};
 use rand::Rng;
 use socmix_obs::{obs_debug, Counter, Histogram, Span};
 
@@ -35,10 +35,6 @@ static MIXED_F32_ITERS: Counter = Counter::new("linalg.power.f32_iters");
 /// Emit a residual-trajectory event every this many iterations.
 const TRACE_EVERY: usize = 100;
 
-/// Residual level below which single precision cannot reliably improve
-/// the iterate: one ulp of an O(1) eigenvalue in f32 is ≈1.2e-7, and
-/// the gathered matvec noise sits a little above that.
-const F32_RESIDUAL_FLOOR: f64 = 1e-6;
 /// The f32 phase also hands over when the residual is already inside
 /// f32 noise territory (below this ceiling) and has stopped improving
 /// — iterating in f32 past its own floor is wasted work.
@@ -110,36 +106,20 @@ pub fn power_iteration<Op: LinearOp, R: Rng + ?Sized>(
     assert!(n > 0, "operator must be non-empty");
     RUNS.incr();
     let _span = Span::start(&RUN_NS);
-    let mut v: Vec<f64> = (0..n).map(|_| rng.random::<f64>() - 0.5).collect();
-    // fold into the operator's range (projects when Op is deflated)
-    let w = op.apply_vec(&v);
-    if norm2(&w) > 1e-12 {
-        v = w;
-    }
-    if normalize(&mut v) == 0.0 {
-        return PowerResult {
-            eigenvalue: 0.0,
-            vector: v,
-            residual: 0.0,
-            iterations: 0,
-            converged: true,
-        };
-    }
+    let Some(mut v) = start_vector(op, rng) else {
+        return zero_result(n);
+    };
     let mut lambda = 0.0;
     let mut residual = f64::INFINITY;
     let mut iterations = 0;
+    // the loop performs no heap allocation
     let mut w = vec![0.0; n];
-    // reusable residual buffer: the loop performs no heap allocation
-    let mut resid = vec![0.0; n];
     for it in 0..opts.max_iter {
         iterations = it + 1;
         ITERS.incr();
         op.apply(&v, &mut w);
         lambda = dot(&v, &w);
-        // residual ‖w − λv‖
-        resid.copy_from_slice(&w);
-        axpy(-lambda, &v, &mut resid);
-        residual = norm2(&resid);
+        residual = resid_norm(&w, &v, lambda);
         if iterations % TRACE_EVERY == 0 {
             obs_debug!(
                 "linalg.power",
@@ -192,7 +172,7 @@ pub fn power_iteration_mixed<Op64, Op32, R>(
 ) -> PowerResult
 where
     Op64: LinearOp,
-    Op32: LinearOpF32,
+    Op32: LinearOp<f32>,
     R: Rng + ?Sized,
 {
     let n = op64.dim();
@@ -201,24 +181,13 @@ where
     RUNS.incr();
     MIXED_RUNS.incr();
     let _span = Span::start(&RUN_NS);
-    // --- Phase A: f32 iterations. Same start-up as the f64 driver:
-    // draw, fold into the operator's range, normalize-or-bail.
-    let mut v32: Vec<f32> = (0..n).map(|_| (rng.random::<f64>() - 0.5) as f32).collect();
+    // --- Phase A: f32 iterations, from the same start-up as the f64
+    // driver at f32 precision.
+    let Some(mut v32) = start_vector(op32, rng) else {
+        return zero_result(n);
+    };
     let mut w32 = vec![0.0f32; n];
-    op32.apply32(&v32, &mut w32);
-    if norm2_32(&w32) > 1e-6 {
-        std::mem::swap(&mut v32, &mut w32);
-    }
-    if normalize32(&mut v32) == 0.0 {
-        return PowerResult {
-            eigenvalue: 0.0,
-            vector: v32.iter().map(|&x| f64::from(x)).collect(),
-            residual: 0.0,
-            iterations: 0,
-            converged: true,
-        };
-    }
-    let f32_tol = opts.tol.max(F32_RESIDUAL_FLOOR);
+    let f32_tol = opts.tol.max(f32::TOL_FLOOR);
     let mut iterations = 0;
     let mut best_residual = f64::INFINITY;
     let mut stalled_for = 0usize;
@@ -233,8 +202,8 @@ where
         iterations += 1;
         ITERS.incr();
         MIXED_F32_ITERS.incr();
-        op32.apply32(&v32, &mut w32);
-        let w_norm = norm2_32(&w32);
+        op32.apply(&v32, &mut w32);
+        let w_norm = norm2(&w32);
         if w_norm == 0.0 {
             // iterate collapsed in f32; promote and let f64 decide
             break;
@@ -245,8 +214,8 @@ where
             // Rayleigh data for the *unit* iterate v̂ = v/‖v‖: with
             // w = Op·v this is λ = v·w/‖v‖² and ‖Op·v̂ − λv̂‖ =
             // ‖w − λv‖/‖v‖, one fused pass each.
-            let lambda32 = dot32(&v32, &w32) / (v_norm * v_norm);
-            let residual32 = resid_norm32(&w32, &v32, lambda32) / v_norm;
+            let lambda32 = dot(&v32, &w32) / (v_norm * v_norm);
+            let residual32 = resid_norm(&w32, &v32, lambda32) / v_norm;
             if residual32 < best_residual * F32_STALL_IMPROVEMENT {
                 best_residual = residual32;
                 stalled_for = 0;
@@ -281,7 +250,7 @@ where
         v_norm = if (0.25..4.0).contains(&w_norm) {
             w_norm
         } else {
-            scale32(&mut w32, (1.0 / w_norm) as f32);
+            scale(&mut w32, 1.0 / w_norm);
             1.0
         };
         std::mem::swap(&mut v32, &mut w32);
@@ -292,15 +261,12 @@ where
     let mut lambda;
     let mut residual;
     let mut w = vec![0.0; n];
-    let mut resid = vec![0.0; n];
     loop {
         // First pass is the uncounted Rayleigh polish / measurement;
         // subsequent passes are counted f64 correction iterations.
         op64.apply(&v, &mut w);
         lambda = dot(&v, &w);
-        resid.copy_from_slice(&w);
-        axpy(-lambda, &v, &mut resid);
-        residual = norm2(&resid);
+        residual = resid_norm(&w, &v, lambda);
         if residual < opts.tol || iterations >= opts.max_iter {
             break;
         }
@@ -325,6 +291,18 @@ where
         residual,
         iterations,
         converged: residual < opts.tol,
+    }
+}
+
+/// What the power drivers report when the operator is zero on the
+/// start vector.
+fn zero_result(n: usize) -> PowerResult {
+    PowerResult {
+        eigenvalue: 0.0,
+        vector: vec![0.0; n],
+        residual: 0.0,
+        iterations: 0,
+        converged: true,
     }
 }
 
@@ -366,7 +344,7 @@ pub fn spectral_radius_in_complement_mixed<Op64, Op32, R>(
 ) -> SpectralRadius
 where
     Op64: LinearOp,
-    Op32: LinearOpF32,
+    Op32: LinearOp<f32>,
     R: Rng + ?Sized,
 {
     let r = power_iteration_mixed(op64, op32, opts, rng);
@@ -395,10 +373,9 @@ fn radius_from_result<Op: LinearOp>(op: &Op, opts: PowerOptions, r: PowerResult)
     // an eigenvector of Op², so convergence is judged on the two-step
     // residual ‖Op²v − λ²v‖ rather than the stalled one-step one.
     let w = op.apply_vec(&r.vector);
-    let mut w2 = op.apply_vec(&w);
+    let w2 = op.apply_vec(&w);
     let lam2 = dot(&r.vector, &w2).max(0.0);
-    axpy(-lam2, &r.vector, &mut w2);
-    let two_step_residual = norm2(&w2);
+    let two_step_residual = resid_norm(&w2, &r.vector, lam2);
     SpectralRadius {
         radius: lam2.sqrt().max(r.eigenvalue.abs()),
         iterations: r.iterations,
@@ -453,9 +430,9 @@ mod tests {
         assert_close(r.eigenvalue, 1.0, 1e-7);
     }
 
-    #[test]
-    fn deflated_power_matches_dense_slem() {
-        let g = GraphBuilder::from_edges([
+    /// Two triangles joined by two edges.
+    fn two_triangles() -> socmix_graph::Graph {
+        let edges = [
             (0, 1),
             (1, 2),
             (2, 0),
@@ -464,8 +441,13 @@ mod tests {
             (4, 5),
             (5, 3),
             (1, 4),
-        ])
-        .build();
+        ];
+        GraphBuilder::from_edges(edges).build()
+    }
+
+    #[test]
+    fn deflated_power_matches_dense_slem() {
+        let g = two_triangles();
         let expect = slem_dense(&g);
         let sop = SymmetricWalkOp::new(&g);
         let basis = vec![sop.top_eigenvector()];
@@ -522,39 +504,11 @@ mod tests {
         assert!(r.converged);
     }
 
-    fn deflated_pair(
-        g: &socmix_graph::Graph,
-    ) -> (
-        DeflatedOp<'_, SymmetricWalkOp<'_>>,
-        crate::op::DeflatedOpF32<'_, crate::op::SymmetricWalkOpF32<'_>>,
-    ) {
-        use crate::op::{DeflatedOpF32, SymmetricWalkOpF32};
-        use socmix_par::Pool;
-        let sop = SymmetricWalkOp::new(g);
-        let basis = vec![sop.top_eigenvector()];
-        let sop32 = SymmetricWalkOpF32::with_pool(g, Pool::serial());
-        let basis32 = vec![sop32.top_eigenvector32()];
-        (
-            DeflatedOp::new(sop, Box::leak(Box::new(basis))),
-            DeflatedOpF32::new(sop32, Box::leak(Box::new(basis32))),
-        )
-    }
-
     #[test]
     fn mixed_power_matches_dense_slem() {
-        let g = GraphBuilder::from_edges([
-            (0, 1),
-            (1, 2),
-            (2, 0),
-            (2, 3),
-            (3, 4),
-            (4, 5),
-            (5, 3),
-            (1, 4),
-        ])
-        .build();
+        let g = two_triangles();
         let expect = slem_dense(&g);
-        let (defl, defl32) = deflated_pair(&g);
+        let (defl, defl32) = crate::lanczos::tests_support::deflated_pair(&g);
         let mut rng = StdRng::seed_from_u64(8);
         let mu =
             spectral_radius_in_complement_mixed(&defl, &defl32, PowerOptions::default(), &mut rng);
@@ -566,7 +520,7 @@ mod tests {
     #[test]
     fn mixed_power_bipartite_star() {
         let g = GraphBuilder::from_edges([(0, 1), (0, 2), (0, 3), (0, 4)]).build();
-        let (defl, defl32) = deflated_pair(&g);
+        let (defl, defl32) = crate::lanczos::tests_support::deflated_pair(&g);
         let mut rng = StdRng::seed_from_u64(9);
         let mu =
             spectral_radius_in_complement_mixed(&defl, &defl32, PowerOptions::default(), &mut rng);
@@ -577,7 +531,7 @@ mod tests {
     #[test]
     fn mixed_budget_respected() {
         let g = GraphBuilder::from_edges([(0, 1), (1, 2), (2, 0), (2, 3)]).build();
-        let (defl, defl32) = deflated_pair(&g);
+        let (defl, defl32) = crate::lanczos::tests_support::deflated_pair(&g);
         let mut rng = StdRng::seed_from_u64(10);
         let opts = PowerOptions {
             max_iter: 1,

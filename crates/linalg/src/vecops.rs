@@ -1,34 +1,40 @@
-//! Dense vector kernels.
+//! Dense vector kernels, generic over the [`Real`] precision.
 //!
-//! Plain `f64` slices, no SIMD intrinsics — the hot loops here are
+//! Plain slices, no SIMD intrinsics — the hot loops here are
 //! memory-bound gathers over the CSR arrays, and the compiler
-//! autovectorizes the rest.
+//! autovectorizes the rest. Storage is `T`; every reduction returns
+//! f64, accumulated in the order [`Real::sum_pairs`] fixes for `T`,
+//! and every scalar argument is an f64 rounded once to `T`.
+
+use crate::kernel::Real;
 
 /// Dot product. Panics (debug) on length mismatch.
 #[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub fn dot<T: Real>(a: &[T], b: &[T]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    T::sum_pairs(a, b, |x, y| x * y)
 }
 
 /// Euclidean norm.
 #[inline]
-pub fn norm2(a: &[f64]) -> f64 {
+pub fn norm2<T: Real>(a: &[T]) -> f64 {
     dot(a, a).sqrt()
 }
 
 /// `y += alpha * x`.
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub fn axpy<T: Real>(alpha: f64, x: &[T], y: &mut [T]) {
     debug_assert_eq!(x.len(), y.len());
+    let alpha = T::from_f64(alpha);
     for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
+        *yi += alpha * *xi;
     }
 }
 
 /// `x *= alpha`.
 #[inline]
-pub fn scale(x: &mut [f64], alpha: f64) {
+pub fn scale<T: Real>(x: &mut [T], alpha: f64) {
+    let alpha = T::from_f64(alpha);
     for xi in x {
         *xi *= alpha;
     }
@@ -36,7 +42,7 @@ pub fn scale(x: &mut [f64], alpha: f64) {
 
 /// Normalizes `x` to unit Euclidean norm; returns the original norm.
 /// A zero vector is left unchanged (returns 0).
-pub fn normalize(x: &mut [f64]) -> f64 {
+pub fn normalize<T: Real>(x: &mut [T]) -> f64 {
     let n = norm2(x);
     if n > 0.0 {
         scale(x, 1.0 / n);
@@ -44,122 +50,25 @@ pub fn normalize(x: &mut [f64]) -> f64 {
     n
 }
 
+/// Residual norm `‖w − λ·v‖`, computed in f64 in one fused read-only
+/// pass instead of materializing the residual vector. For f64 it
+/// equals `norm2` of the materialized `w − λ·v` bit for bit.
+#[inline]
+pub fn resid_norm<T: Real>(w: &[T], v: &[T], lambda: f64) -> f64 {
+    debug_assert_eq!(w.len(), v.len());
+    T::sum_pairs(w, v, |x, y| {
+        let r = x - lambda * y;
+        r * r
+    })
+    .sqrt()
+}
+
 /// Removes the component of `x` along the *unit* vector `u`:
 /// `x -= (u·x) u`. Returns the removed coefficient.
-pub fn project_out(x: &mut [f64], u: &[f64]) -> f64 {
+pub fn project_out<T: Real>(x: &mut [T], u: &[T]) -> f64 {
     let c = dot(u, x);
     axpy(-c, u, x);
     c
-}
-
-/// Maximum absolute entry (∞-norm).
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-}
-
-// --- f32 counterparts for the mixed-precision kernels ---
-//
-// Storage is f32 (halved traffic), but every reduction accumulates in
-// f64: an f32-only sum over 10⁵ terms loses ~4 digits, which would eat
-// the entire f32 path's tolerance budget before the operator even runs.
-
-/// f32 dot product, accumulated in f64.
-///
-/// Eight independent accumulators: a single f64 accumulator chains
-/// every element through one ~4-cycle FP add, which made this pass
-/// cost more than the matvec it was checking. The accumulation order
-/// is fixed by the slice length alone, so results stay reproducible —
-/// the f32 tolerance contract permits this reassociation (the f64
-/// [`dot`] above must not and does not reassociate).
-#[inline]
-pub fn dot32(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; 8];
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (xs, ys) in ca.by_ref().zip(cb.by_ref()) {
-        for (a, (x, y)) in acc.iter_mut().zip(xs.iter().zip(ys)) {
-            *a += f64::from(*x) * f64::from(*y);
-        }
-    }
-    let mut tail = 0.0f64;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += f64::from(*x) * f64::from(*y);
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
-}
-
-/// Euclidean norm of an f32 vector (f64-accumulated).
-#[inline]
-pub fn norm2_32(a: &[f32]) -> f64 {
-    dot32(a, a).sqrt()
-}
-
-/// `y += alpha * x` in f32.
-#[inline]
-pub fn axpy32(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// `x *= alpha` in f32.
-#[inline]
-pub fn scale32(x: &mut [f32], alpha: f32) {
-    for xi in x {
-        *xi *= alpha;
-    }
-}
-
-/// Normalizes an f32 vector (f64-accumulated norm); returns the
-/// original norm. A zero vector is left unchanged (returns 0).
-pub fn normalize32(x: &mut [f32]) -> f64 {
-    let n = norm2_32(x);
-    if n > 0.0 {
-        scale32(x, (1.0 / n) as f32);
-    }
-    n
-}
-
-/// Residual norm `‖w − λ·v‖` over f32 slices, computed in f64 in one
-/// fused read-only pass — the mixed power driver's convergence check,
-/// which previously materialized the residual vector through a copy
-/// and an axpy. Same eight-accumulator layout as [`dot32`].
-#[inline]
-pub fn resid_norm32(w: &[f32], v: &[f32], lambda: f64) -> f64 {
-    debug_assert_eq!(w.len(), v.len());
-    let mut acc = [0.0f64; 8];
-    let mut cw = w.chunks_exact(8);
-    let mut cv = v.chunks_exact(8);
-    for (ws, vs) in cw.by_ref().zip(cv.by_ref()) {
-        for (a, (x, y)) in acc.iter_mut().zip(ws.iter().zip(vs)) {
-            let r = f64::from(*x) - lambda * f64::from(*y);
-            *a += r * r;
-        }
-    }
-    let mut tail = 0.0f64;
-    for (x, y) in cw.remainder().iter().zip(cv.remainder()) {
-        let r = f64::from(*x) - lambda * f64::from(*y);
-        tail += r * r;
-    }
-    (((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail)
-        .sqrt()
-}
-
-/// Removes the component of `x` along the *unit* f32 vector `u`
-/// (coefficient computed in f64). Returns the removed coefficient.
-pub fn project_out32(x: &mut [f32], u: &[f32]) -> f64 {
-    let c = dot32(u, x);
-    axpy32(-(c as f32), u, x);
-    c
-}
-
-/// Sum of entries.
-#[inline]
-pub fn sum(a: &[f64]) -> f64 {
-    a.iter().sum()
 }
 
 #[cfg(test)]
@@ -210,55 +119,54 @@ mod tests {
     fn f32_kernels_mirror_f64() {
         let a: Vec<f32> = vec![1.0, 2.0, 3.0];
         let b: Vec<f32> = vec![4.0, 5.0, 6.0];
-        assert_eq!(dot32(&a, &b), 32.0);
-        assert!((norm2_32(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
+        assert_eq!(dot(&a, &b), 32.0);
+        assert!((norm2(&[3.0f32, 4.0]) - 5.0).abs() < 1e-12);
         let mut y = vec![1.0f32, 1.0];
-        axpy32(2.0, &[3.0, 4.0], &mut y);
+        axpy(2.0, &[3.0f32, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
         let mut x = vec![3.0f32, 4.0];
-        let n = normalize32(&mut x);
+        let n = normalize(&mut x);
         assert!((n - 5.0).abs() < 1e-6);
-        assert!((norm2_32(&x) - 1.0).abs() < 1e-6);
+        assert!((norm2(&x) - 1.0).abs() < 1e-6);
         let mut z = vec![0.0f32, 0.0];
-        assert_eq!(normalize32(&mut z), 0.0);
+        assert_eq!(normalize(&mut z), 0.0);
     }
 
     #[test]
-    fn dot32_accumulates_in_f64() {
+    fn f32_dot_accumulates_in_f64() {
         // 2^24 + 1 is not representable in f32; an f32 accumulator
         // would stall at 2^24 long before this sum finishes
         let ones = vec![1.0f32; (1 << 24) + 64];
-        let sum = dot32(&ones, &ones);
+        let sum = dot(&ones, &ones);
         assert_eq!(sum, ones.len() as f64);
     }
 
     #[test]
-    fn resid_norm32_matches_materialized_residual() {
-        // 19 elements: exercises the unrolled body and the tail
+    fn resid_norm_matches_materialized_residual() {
+        // 19 elements: exercises the f32 unrolled body and the tail
         let w: Vec<f32> = (0..19).map(|i| ((i as f32) * 0.61).sin()).collect();
         let v: Vec<f32> = (0..19).map(|i| ((i as f32) * 0.37).cos()).collect();
         let lambda = 0.8125f64; // exact in f32
         let mut resid: Vec<f32> = w.clone();
-        axpy32(-(lambda as f32), &v, &mut resid);
-        let reference = norm2_32(&resid);
-        let fused = resid_norm32(&w, &v, lambda);
+        axpy(-lambda, &v, &mut resid);
+        let reference = norm2(&resid);
+        let fused = resid_norm(&w, &v, lambda);
         assert!((fused - reference).abs() < 1e-6, "{fused} vs {reference}");
-        assert_eq!(resid_norm32(&[], &[], 1.0), 0.0);
+        assert_eq!(resid_norm::<f32>(&[], &[], 1.0), 0.0);
+        // f64: the fused pass is the materialized residual, bit for bit
+        let w64: Vec<f64> = w.iter().map(|&x| f64::from(x) * 1.1).collect();
+        let v64: Vec<f64> = v.iter().map(|&x| f64::from(x) / 3.0).collect();
+        let mut r64 = w64.clone();
+        axpy(-0.3, &v64, &mut r64);
+        assert_eq!(resid_norm(&w64, &v64, 0.3).to_bits(), norm2(&r64).to_bits());
     }
 
     #[test]
-    fn project_out32_orthogonalizes() {
+    fn f32_project_out_orthogonalizes() {
         let mut u = vec![1.0f32, 1.0];
-        normalize32(&mut u);
+        normalize(&mut u);
         let mut x = vec![2.0f32, 0.0];
-        project_out32(&mut x, &u);
-        assert!(dot32(&x, &u).abs() < 1e-6);
-    }
-
-    #[test]
-    fn norm_inf_and_sum() {
-        assert_eq!(norm_inf(&[-3.0, 2.0]), 3.0);
-        assert_eq!(sum(&[1.0, 2.0, -0.5]), 2.5);
-        assert_eq!(norm_inf(&[]), 0.0);
+        project_out(&mut x, &u);
+        assert!(dot(&x, &u).abs() < 1e-6);
     }
 }

@@ -32,6 +32,7 @@
 //! independent of reuse history (the bit-for-bit serial-equivalence
 //! contract).
 
+use crate::kernel::Real;
 use socmix_obs::{Counter, Gauge};
 use std::cell::{Cell, RefCell, UnsafeCell};
 
@@ -98,10 +99,8 @@ pub fn with_scratch<R>(n: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
     r
 }
 
-/// Allocations served by [`ScratchArena::alloc_f64`]/[`alloc_f32`]
-/// (bumps, not heap calls — compare against `linalg.arena.slabs`).
-///
-/// [`alloc_f32`]: ScratchArena::alloc_f32
+/// Allocations served by [`ScratchArena::alloc`] (bumps, not heap
+/// calls — compare against `linalg.arena.slabs`).
 static ARENA_ALLOCS: Counter = Counter::new("linalg.arena.allocs");
 /// Slabs the arenas actually pulled from the global allocator.
 static ARENA_SLABS: Counter = Counter::new("linalg.arena.slabs");
@@ -188,37 +187,26 @@ impl ScratchArena {
         }
     }
 
-    /// A zeroed `f64` slice of length `n`, valid for the enclosing
-    /// [`with_arena`] scope.
+    /// A zeroed slice of `n` values of precision `T`, valid for the
+    /// enclosing [`with_arena`] scope.
     ///
     /// Returning `&mut` from `&self` is the point of a bump arena:
     /// each call hands out a *disjoint* sub-slice of the slabs, so the
     /// exclusive borrows never alias (clippy cannot see that through
     /// the `UnsafeCell`).
     #[allow(clippy::mut_from_ref)]
-    pub fn alloc_f64(&self, n: usize) -> &mut [f64] {
-        let p = self.alloc_words(n).cast::<f64>();
-        // SAFETY: `alloc_words` returned exclusive storage for `n`
-        // words that no other live allocation overlaps (the cursor
-        // only moves forward until the scope exits, and scope exit
-        // outlives the returned borrow); `f64` has the same size and
-        // alignment as the `u64` slab words, and every byte is
-        // initialized by the fill below.
+    pub fn alloc<T: Real>(&self, n: usize) -> &mut [T] {
+        let words = (n * std::mem::size_of::<T>()).div_ceil(std::mem::size_of::<u64>());
+        let p = self.alloc_words(words).cast::<T>();
+        // SAFETY: `alloc_words` returned exclusive storage for `words`
+        // words, which cover `n` values of `T`, that no other live
+        // allocation overlaps (the cursor only moves forward until the
+        // scope exits, and scope exit outlives the returned borrow).
+        // `Real` is sealed to `f32` and `f64`, whose alignments divide
+        // the `u64` slab words' and which have no invalid bit
+        // patterns; the fill below initializes every value anyway.
         let s = unsafe { std::slice::from_raw_parts_mut(p, n) };
-        s.fill(0.0);
-        s
-    }
-
-    /// A zeroed `f32` slice of length `n`, valid for the enclosing
-    /// [`with_arena`] scope (disjoint borrows — see [`Self::alloc_f64`]).
-    #[allow(clippy::mut_from_ref)]
-    pub fn alloc_f32(&self, n: usize) -> &mut [f32] {
-        let p = self.alloc_words(n.div_ceil(2)).cast::<f32>();
-        // SAFETY: `⌈n/2⌉` words cover `n` `f32`s; the storage is
-        // exclusive (same argument as `alloc_f64`), `f32`'s alignment
-        // divides `u64`'s, and the fill below initializes every byte.
-        let s = unsafe { std::slice::from_raw_parts_mut(p, n) };
-        s.fill(0.0);
+        s.fill(T::default());
         s
     }
 
@@ -333,14 +321,14 @@ mod tests {
     #[test]
     fn arena_allocations_are_disjoint_and_zeroed() {
         with_arena(|a| {
-            let x = a.alloc_f64(100);
+            let x = a.alloc::<f64>(100);
             assert!(x.iter().all(|&v| v == 0.0));
             x.fill(1.0);
-            let y = a.alloc_f64(100);
+            let y = a.alloc::<f64>(100);
             assert!(y.iter().all(|&v| v == 0.0), "must not alias x");
             y.fill(2.0);
             assert!(x.iter().all(|&v| v == 1.0));
-            let z = a.alloc_f32(64);
+            let z = a.alloc::<f32>(64);
             assert!(z.iter().all(|&v| v == 0.0));
             z.fill(3.0);
             assert!(x.iter().all(|&v| v == 1.0) && y.iter().all(|&v| v == 2.0));
@@ -350,26 +338,26 @@ mod tests {
     #[test]
     fn arena_scope_exit_reuses_storage() {
         // warm: first scope allocates the slab
-        let p1 = with_arena(|a| a.alloc_f64(1000).as_ptr() as usize);
+        let p1 = with_arena(|a| a.alloc::<f64>(1000).as_ptr() as usize);
         // steady state: the next scope starts from the same cursor
-        let p2 = with_arena(|a| a.alloc_f64(1000).as_ptr() as usize);
+        let p2 = with_arena(|a| a.alloc::<f64>(1000).as_ptr() as usize);
         assert_eq!(p1, p2, "scope exit must rewind the cursor");
     }
 
     #[test]
     fn arena_nested_scopes_stack() {
         with_arena(|outer| {
-            let x = outer.alloc_f64(32);
+            let x = outer.alloc::<f64>(32);
             x.fill(7.0);
             let inner_ptr = with_arena(|inner| {
-                let w = inner.alloc_f64(32);
+                let w = inner.alloc::<f64>(32);
                 w.fill(9.0);
                 w.as_ptr() as usize
             });
             // outer allocation survives the inner scope untouched
             assert!(x.iter().all(|&v| v == 7.0));
             // the inner scope's storage is free again for the outer
-            let y = outer.alloc_f64(32);
+            let y = outer.alloc::<f64>(32);
             assert_eq!(y.as_ptr() as usize, inner_ptr);
             assert!(y.iter().all(|&v| v == 0.0), "reused storage re-zeroed");
         });
@@ -380,9 +368,9 @@ mod tests {
         with_arena(|a| {
             // far more than MIN_SLAB_WORDS: forces slab growth while
             // earlier allocations stay valid
-            let first = a.alloc_f64(100);
+            let first = a.alloc::<f64>(100);
             first.fill(1.0);
-            let big = a.alloc_f64(MIN_SLAB_WORDS * 4);
+            let big = a.alloc::<f64>(MIN_SLAB_WORDS * 4);
             assert_eq!(big.len(), MIN_SLAB_WORDS * 4);
             big[0] = 5.0;
             assert!(first.iter().all(|&v| v == 1.0));
@@ -394,11 +382,11 @@ mod tests {
         // a working set past the retention cap must be dropped at the
         // outermost exit, then a new scope starts from a fresh slab
         with_arena(|a| {
-            let huge = a.alloc_f64(MAX_RETAINED_WORDS + 1024);
+            let huge = a.alloc::<f64>(MAX_RETAINED_WORDS + 1024);
             huge[0] = 1.0;
         });
         with_arena(|a| {
-            let small = a.alloc_f64(8);
+            let small = a.alloc::<f64>(8);
             assert!(small.iter().all(|&v| v == 0.0));
         });
     }

@@ -22,10 +22,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use socmix_gen::ba::barabasi_albert;
 use socmix_graph::{Graph, GraphBuilder};
-use socmix_linalg::{
-    DeflatedOp, LinearOp, LinearOpF32, MultiLinearOp, MultiVec, SymmetricWalkOp,
-    SymmetricWalkOpF32, WalkOp,
-};
+use socmix_linalg::vecops::project_out;
+use socmix_linalg::{DeflatedOp, LinearOp, MultiLinearOp, MultiVec, SymmetricWalkOp, WalkOp};
 use socmix_par::Pool;
 
 /// Mildly irregular test graph: a BA preferential-attachment run,
@@ -200,21 +198,48 @@ fn exact_apply_multi_bitwise_identical_to_oracle() {
     }
 }
 
+/// The f32 operators on `g` over `pool`: the symmetric walk operator
+/// and its deflation by `basis32`, whose apply projects the output
+/// only.
+fn f32_ops<'a>(
+    g: &'a Graph,
+    pool: Pool,
+    basis32: &'a [Vec<f32>],
+) -> [Box<dyn LinearOp<f32> + 'a>; 2] {
+    let sop = || SymmetricWalkOp::with_pool(g, pool);
+    [Box::new(sop()), Box::new(DeflatedOp::new(sop(), basis32))]
+}
+
 #[test]
 fn f32_kernel_tracks_f64_within_tolerance() {
     // The mixed-precision contract: per-application error within
-    // ~1e-6 of the f64 operator on unit-scale inputs.
+    // ~1e-6 of the f64 operator on unit-scale inputs. The input lies
+    // in the complement of u₁, where the f32 deflated operator's
+    // output-only projection must equal the f64 operator's full
+    // projection up to f32 noise.
     let g = ba_graph();
-    let n = g.num_nodes();
-    let x = probe_vector(n);
+    let sop = SymmetricWalkOp::with_pool(&g, Pool::serial());
+    let basis = vec![sop.top_eigenvector()];
+    let mut x = probe_vector(g.num_nodes());
+    project_out(&mut x, &basis[0]);
     let x32: Vec<f32> = x.iter().map(|&v| v as f32).collect();
-    let want = SymmetricWalkOp::with_pool(&g, Pool::serial()).apply_vec(&x);
-    let got = SymmetricWalkOpF32::with_pool(&g, Pool::serial()).apply_vec32(&x32);
-    for (i, (w, g32)) in want.iter().zip(&got).enumerate() {
-        assert!(
-            (w - f64::from(*g32)).abs() <= 1e-6,
-            "row {i}: f32 {g32} vs f64 {w}"
-        );
+    let want = [
+        sop.apply_vec(&x),
+        DeflatedOp::new(sop, &basis).apply_vec(&x),
+    ];
+    let basis32 = vec![SymmetricWalkOp::<f32>::with_pool(&g, Pool::serial()).top_eigenvector()];
+    for (k, (op, want)) in f32_ops(&g, Pool::serial(), &basis32)
+        .iter()
+        .zip(&want)
+        .enumerate()
+    {
+        let got = op.apply_vec(&x32);
+        for (i, (w, g32)) in want.iter().zip(&got).enumerate() {
+            assert!(
+                (w - f64::from(*g32)).abs() <= 1e-6,
+                "op {k} row {i}: f32 {g32} vs f64 {w}"
+            );
+        }
     }
 }
 
@@ -223,13 +248,27 @@ fn f32_kernel_bitwise_identical_across_pool_widths() {
     // f32 results are approximate relative to f64, but they must
     // still be deterministic: pool width never changes bits.
     let g = ba_graph();
-    let n = g.num_nodes();
-    let x32: Vec<f32> = probe_vector(n).iter().map(|&v| v as f32).collect();
-    let serial = SymmetricWalkOpF32::with_pool(&g, Pool::serial()).apply_vec32(&x32);
+    let basis32 = vec![SymmetricWalkOp::<f32>::with_pool(&g, Pool::serial()).top_eigenvector()];
+    let mut x32: Vec<f32> = probe_vector(g.num_nodes())
+        .iter()
+        .map(|&v| v as f32)
+        .collect();
+    project_out(&mut x32, &basis32[0]);
+    let serial = f32_ops(&g, Pool::serial(), &basis32).map(|op| op.apply_vec(&x32));
     for t in WIDTHS {
-        let par = SymmetricWalkOpF32::with_pool(&g, Pool::with_threads(t)).apply_vec32(&x32);
-        for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "f32 row {i} differs ({a} vs {b})");
+        for (k, (op, serial)) in f32_ops(&g, Pool::with_threads(t), &basis32)
+            .iter()
+            .zip(&serial)
+            .enumerate()
+        {
+            let par = op.apply_vec(&x32);
+            for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "op {k} row {i} differs ({a} vs {b})"
+                );
+            }
         }
     }
 }

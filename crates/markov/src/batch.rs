@@ -167,16 +167,16 @@ impl<'g> BatchEvolver<'g> {
         // repeated probe calls reuse the same retained slab instead of
         // round-tripping the allocator per block.
         with_arena(|arena| {
-            let mut cur = MultiVecMut::new(arena.alloc_f64(n * b), n, b);
+            let mut cur = MultiVecMut::new(arena.alloc::<f64>(n * b), n, b);
             for (c, &s) in sources.iter().enumerate() {
                 cur.set(s as usize, c, 1.0);
             }
-            let mut next = MultiVecMut::new(arena.alloc_f64(n * b), n, b);
+            let mut next = MultiVecMut::new(arena.alloc::<f64>(n * b), n, b);
             let mut out = vec![Vec::with_capacity(t_max); b];
             // active[j] = original column index stored at packed column j
             let mut active: Vec<usize> = (0..b).collect();
             let mut width = b;
-            let tvds = arena.alloc_f64(b);
+            let tvds = arena.alloc::<f64>(b);
             for _ in 0..t_max {
                 if width == 0 {
                     break;
@@ -241,7 +241,7 @@ impl<'g> BatchEvolver<'g> {
         let b = sources.len();
         assert!(b > 0, "tvd_at_lengths_block needs at least one source");
         with_arena(|arena| {
-            let mut cur = MultiVecMut::new(arena.alloc_f64(n * b), n, b);
+            let mut cur = MultiVecMut::new(arena.alloc::<f64>(n * b), n, b);
             for (c, &s) in sources.iter().enumerate() {
                 assert!(
                     (s as usize) < n,
@@ -249,9 +249,9 @@ impl<'g> BatchEvolver<'g> {
                 );
                 cur.set(s as usize, c, 1.0);
             }
-            let mut next = MultiVecMut::new(arena.alloc_f64(n * b), n, b);
+            let mut next = MultiVecMut::new(arena.alloc::<f64>(n * b), n, b);
             let mut out = vec![Vec::with_capacity(lengths.len()); b];
-            let tvds = arena.alloc_f64(b);
+            let tvds = arena.alloc::<f64>(b);
             let mut t = 0usize;
             for &target in lengths {
                 while t < target {

@@ -105,7 +105,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<(u8, Vec<u8>)> {
 /// Reads one frame, bounding the announced payload length both by
 /// [`MAX_FRAME`] and by a caller-supplied per-opcode cap.
 ///
-/// The payload buffer grows in [`READ_CHUNK`] steps as bytes actually
+/// The payload buffer grows in `READ_CHUNK` steps as bytes actually
 /// arrive rather than being allocated up front, so a hostile or
 /// desynchronized peer announcing gigabytes it never sends cannot OOM
 /// the process: the allocation tracks delivery, and the inevitable

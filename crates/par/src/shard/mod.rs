@@ -10,10 +10,10 @@
 //!
 //! - [`frame`]: the length-prefixed wire codec (1-byte opcode, u64
 //!   length, payload) spoken over Unix domain sockets.
-//! - [`proc`]: worker lifecycle — spawn (fork/exec of the current
+//! - `proc`: worker lifecycle — spawn (fork/exec of the current
 //!   executable re-entered via the `shard-worker` subcommand),
 //!   handshake, pipelined request rounds, death detection, teardown.
-//! - [`worker`]: the serve loop running inside each worker process.
+//! - `worker`: the serve loop running inside each worker process.
 //!
 //! The backend is selected by `SOCMIX_SHARDS=<n>` (parsed warn-once
 //! like every other knob; `1` or unset means shared-memory). Binaries
@@ -32,7 +32,7 @@ mod worker;
 
 pub use proc::{ShardGroup, ShardSpec};
 
-/// The argv[1] sentinel that re-enters a binary as a shard worker.
+/// The `argv[1]` sentinel that re-enters a binary as a shard worker.
 pub const WORKER_SUBCOMMAND: &str = "shard-worker";
 /// Environment variable carrying the rendezvous socket path to the
 /// spawned worker.
