@@ -447,6 +447,23 @@ mod tests {
         assert_eq!(pserial.iterations, ppar.iterations);
     }
 
+    #[test]
+    fn check_every_zero_checks_every_step() {
+        let g = fixtures::petersen();
+        let run = |check_every| {
+            Slem::lanczos(&g)
+                .lanczos_options(LanczosOptions {
+                    check_every,
+                    ..Default::default()
+                })
+                .estimate()
+                .unwrap()
+        };
+        let (zero, one) = (run(0), run(1));
+        assert_eq!(zero.mu.to_bits(), one.mu.to_bits());
+        assert_eq!(zero.iterations, one.iterations);
+    }
+
     /// `S` applied by the naive gather, so the solvers can be driven
     /// on the oracle bits.
     struct OracleSym<'g>(&'g Graph);

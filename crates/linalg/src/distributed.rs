@@ -37,6 +37,7 @@ use crate::workspace::with_scratch;
 use socmix_graph::Graph;
 use socmix_obs::Counter;
 use socmix_par::shard::{frame, ShardError, ShardGroup, ShardSpec};
+use socmix_par::Pool;
 use std::sync::{Arc, Mutex};
 
 /// Matvec rounds routed through the process-sharded backend.
@@ -451,6 +452,12 @@ impl LinearOp for DistributedOp<'_> {
                 self.apply_local(x, y);
             }
         }
+    }
+
+    /// The parent's default pool: the rows are applied by the shard
+    /// workers, but a solver's own sweeps run in this process.
+    fn pool(&self) -> Pool {
+        Pool::new()
     }
 }
 

@@ -135,6 +135,15 @@ pub trait Real:
     /// element through one ~4-cycle FP add, which made the pass cost
     /// more than the matvec it checked, and the tolerance contract
     /// permits the reassociation.
+    ///
+    /// The f64 order binds the exact solvers' own scalars: the
+    /// projection inside every exact [`crate::DeflatedOp`] apply, the
+    /// power iteration's norms and Rayleigh quotients, and Lanczos's α
+    /// and β, so recorded µ bits depend on it, and
+    /// [`crate::vecops::resid_norm`] promises `norm2`'s bits through
+    /// it. The Lanczos reorthogonalization does not use it: its dots
+    /// fold fixed row chunks (see [`crate::lanczos`]), deterministic in
+    /// `n` alone but a different order.
     fn sum_pairs(a: &[Self], b: &[Self], term: impl Fn(f64, f64) -> f64) -> f64;
 
     /// The single-column CSR gather over `rows` of `g`: for each row

@@ -12,13 +12,52 @@
 //! At the basis sizes extremal problems need (k ≤ a few hundred) this
 //! is the right trade. For graphs too large for the basis to fit in
 //! memory, use [`crate::power::power_iteration`], which needs O(n).
+//!
+//! # Reorthogonalization: CGS2 over fixed chunks
+//!
+//! Each step orthogonalizes the new vector `w` by classical
+//! Gram–Schmidt run twice (CGS2): `w −= V·(Vᵀw)`, then again. Two
+//! passes of the classical variant keep the basis orthogonal to
+//! working precision ("twice is enough": Giraud, Langou & Rozložník,
+//! *Numer. Math.* 2005), and unlike modified Gram–Schmidt all `k` dots
+//! of a pass are independent, so a pass is two sweeps over the basis
+//! instead of `2k` dependent ones:
+//!
+//! - **Dots.** `Vᵀw` is computed over fixed chunks of `REORTH_CHUNK`
+//!   (4096) rows. Within a chunk each basis vector sums its rows in
+//!   order into one f64 accumulator, eight vectors sharing each pass
+//!   over `w`; the per-chunk partials are then added in chunk order.
+//!   The chunk size is a constant, so the summation order, and every
+//!   bit of the result, is a function of `n` alone.
+//! - **Update.** `w −= V·h` runs chunk by chunk in place, each entry
+//!   subtracting the basis terms in basis order.
+//!
+//! The first pass's update and the second pass's dots share one sweep,
+//! block by block while the block's basis rows are still in L2, so a
+//! step reads the basis three times instead of four.
+//!
+//! Every sweep runs on the operator's [`LinearOp::pool`]; the pool only
+//! schedules chunks, so pool width changes wall clock, never bits.
+//!
+//! The in-order, single-accumulator order stays the contract where a
+//! result must equal another code path bit for bit: the operators and
+//! CSR gathers (pinned to the naive-loop oracle and, sharded, to
+//! shared memory) and the batched evolver (pinned to the serial one),
+//! plus the f64 [`Real::sum_pairs`] behind α, β and the deflation
+//! projection. No other code path computes a Lanczos basis, so the
+//! reorthogonalization dots owe bits only to themselves: they stay
+//! deterministic across pools and backends, but trade the single add
+//! chain, whose latency serialized ~80% of every step, for the chunk
+//! fold.
 
 use crate::kernel::Real;
-use crate::op::LinearOp;
+use crate::op::{LinearOp, SendMut};
 use crate::tridiag::tridiag_eigen;
-use crate::vecops::{axpy, dot, norm2, normalize, project_out, resid_norm, scale};
+use crate::vecops::{axpy, dot, norm2, normalize, resid_norm, scale};
 use rand::Rng;
 use socmix_obs::{obs_debug, Counter, Histogram, Span};
+use socmix_par::Pool;
+use std::ops::Range;
 
 static RUNS: Counter = Counter::new("linalg.lanczos.runs");
 static STEPS: Counter = Counter::new("linalg.lanczos.steps");
@@ -27,6 +66,21 @@ static MIXED_RUNS: Counter = Counter::new("linalg.lanczos.mixed_runs");
 /// Wall time per Lanczos run (extreme/topk, scalar and mixed); on a
 /// trace timeline one span per SLEM solve.
 static RUN_NS: Histogram = Histogram::new("linalg.lanczos.run_ns");
+
+/// Wall time per reorthogonalization (one CGS2 call per Lanczos
+/// step); the rest of a step is the operator apply.
+static REORTH_NS: Histogram = Histogram::new("linalg.lanczos.reorth_ns");
+
+/// Rows per chunk of the reorthogonalization sweeps. A constant, so
+/// the chunk fold of every basis dot, and with it every Lanczos bit,
+/// depends on `n` alone.
+const REORTH_CHUNK: usize = 4096;
+
+/// Rows per block within a sweep chunk. The basis rows one block
+/// touches (≤ 1.2 MB at 300 vectors) stay in L2 between a fused
+/// sweep's update and its dots. Blocking never changes bits: each
+/// dot's accumulator carries across the blocks of its chunk.
+const SWEEP_BLOCK: usize = 512;
 
 /// Residual tolerance the polished f64 Ritz pairs are held to when
 /// reporting `converged`: the basis itself carries f32-level error, so
@@ -42,7 +96,7 @@ pub struct LanczosOptions {
     pub max_iter: usize,
     /// Residual tolerance for the extreme Ritz pairs.
     pub tol: f64,
-    /// Check convergence every this many steps.
+    /// Check convergence every this many steps (0 is taken as 1).
     pub check_every: usize,
 }
 
@@ -135,6 +189,9 @@ impl<T: Real> Krylov<T> {
             alphas: Vec::new(),
             betas: Vec::new(),
         };
+        let pool = op.pool();
+        let check_every = check_every.max(1);
+        let mut partials = Vec::new();
         for j in 0..max_iter {
             STEPS.incr();
             // `w` is the only per-step allocation left: it becomes the
@@ -147,12 +204,7 @@ impl<T: Real> Krylov<T> {
             if j > 0 {
                 axpy(-k.betas[j - 1], &k.basis[j - 1], &mut w);
             }
-            // full reorthogonalization, two passes
-            for _ in 0..2 {
-                for b in &k.basis {
-                    project_out(&mut w, b);
-                }
-            }
+            cgs2(&pool, &k.basis, &mut w, &mut partials);
             k.alphas.push(alpha);
             let beta = norm2(&w);
             if beta < T::BETA_FLOOR {
@@ -192,6 +244,152 @@ impl<T: Real> Krylov<T> {
         normalize(&mut rv);
         rv
     }
+}
+
+/// Full reorthogonalization of `w` against the orthonormal `basis`:
+/// two passes of classical Gram–Schmidt (CGS2), `w −= V·(Vᵀw)` twice,
+/// as three sweeps over the basis: the first pass's dots, its update
+/// fused with the second pass's dots, and the second pass's update.
+/// `partials` is reusable scratch for the per-chunk dots.
+fn cgs2<T: Real>(pool: &Pool, basis: &[Vec<T>], w: &mut [T], partials: &mut Vec<f64>) {
+    let _span = Span::start(&REORTH_NS);
+    let mut h = vec![0.0f64; basis.len()];
+    sweep(pool, basis, w, None, Some(partials));
+    fold_chunks(partials, &mut h);
+    sweep(pool, basis, w, Some(&h), Some(partials));
+    fold_chunks(partials, &mut h);
+    sweep(pool, basis, w, Some(&h), None);
+}
+
+/// One sweep over `w` in fixed [`REORTH_CHUNK`]-row chunks scheduled
+/// on `pool`. Per [`SWEEP_BLOCK`] rows it first applies `w −= V·h`
+/// when `update` is given, then adds those rows' terms of `Vᵀw` to the
+/// chunk's `k`-wide row of `dots` when given (zeroed first), while the
+/// block's basis rows are still in cache.
+fn sweep<T: Real>(
+    pool: &Pool,
+    basis: &[Vec<T>],
+    w: &mut [T],
+    update: Option<&[f64]>,
+    dots: Option<&mut Vec<f64>>,
+) {
+    let (n, k) = (w.len(), basis.len());
+    let chunks = n.div_ceil(REORTH_CHUNK);
+    let dots = dots.map(|d| {
+        d.clear();
+        d.resize(chunks * k, 0.0);
+        SendMut(d.as_mut_ptr())
+    });
+    let rows = SendMut(w.as_mut_ptr());
+    let (dots, rows) = (&dots, &rows);
+    pool.for_each_chunk(chunks, |cs| {
+        for c in cs {
+            let start = c * REORTH_CHUNK;
+            let end = (start + REORTH_CHUNK).min(n);
+            // SAFETY: `w` has `n` entries, and chunk `c` owns rows
+            // `start..end`; `for_each_chunk` hands each chunk to one
+            // body, so no other slice overlaps them.
+            let wc = unsafe { rows.rows(start, end - start) };
+            // SAFETY: `dots` holds `chunks · k` entries, of which chunk
+            // `c` alone owns the `k` at `c · k`.
+            let mut hc = dots.as_ref().map(|d| unsafe { d.rows(c * k, k) });
+            for (b, wb) in wc.chunks_mut(SWEEP_BLOCK).enumerate() {
+                let block = start + b * SWEEP_BLOCK..start + b * SWEEP_BLOCK + wb.len();
+                if let Some(h) = update {
+                    block_update(basis, &block, h, wb);
+                }
+                if let Some(hc) = hc.as_deref_mut() {
+                    block_dots(basis, &block, wb, hc);
+                }
+            }
+        }
+    });
+}
+
+/// `h[i] = Σ_c partials[c·k + i]` for `k = h.len()`, the chunks added
+/// in order.
+fn fold_chunks(partials: &[f64], h: &mut [f64]) {
+    let (first, rest) = partials.split_at(h.len());
+    h.copy_from_slice(first);
+    for hc in rest.chunks_exact(h.len()) {
+        for (hi, &p) in h.iter_mut().zip(hc) {
+            *hi += p;
+        }
+    }
+}
+
+/// Adds the `rows` terms of every basis vector's dot with `w` (= those
+/// rows of the vector being orthogonalized) to `out`, one in-order f64
+/// accumulator per vector. Eight vectors share a pass over `w`, so
+/// their eight add chains overlap instead of each waiting out its own
+/// latency.
+fn block_dots<T: Real>(basis: &[Vec<T>], rows: &Range<usize>, w: &[T], out: &mut [f64]) {
+    let mut done = 0;
+    while done < basis.len() {
+        let (vs, hs) = (&basis[done..], &mut out[done..]);
+        done += match vs.len() {
+            8.. => group_dots::<T, 8>(vs, rows, w, hs),
+            4.. => group_dots::<T, 4>(vs, rows, w, hs),
+            2.. => group_dots::<T, 2>(vs, rows, w, hs),
+            _ => group_dots::<T, 1>(vs, rows, w, hs),
+        };
+    }
+}
+
+/// [`block_dots`] for the first `G` vectors of `basis`; returns `G`.
+#[inline(always)]
+fn group_dots<T: Real, const G: usize>(
+    basis: &[Vec<T>],
+    rows: &Range<usize>,
+    w: &[T],
+    out: &mut [f64],
+) -> usize {
+    let vs: [&[T]; G] = std::array::from_fn(|i| &basis[i][rows.clone()][..w.len()]);
+    let mut acc: [f64; G] = std::array::from_fn(|i| out[i]);
+    for (r, &wr) in w.iter().enumerate() {
+        let wr = wr.to_f64();
+        for (a, v) in acc.iter_mut().zip(&vs) {
+            *a += v[r].to_f64() * wr;
+        }
+    }
+    out[..G].copy_from_slice(&acc);
+    G
+}
+
+/// `w −= Σ_i h[i]·basis[i][rows]`, each entry subtracting the terms in
+/// basis order (the bits of one `axpy` per vector), eight vectors per
+/// pass over `w`.
+fn block_update<T: Real>(basis: &[Vec<T>], rows: &Range<usize>, h: &[f64], w: &mut [T]) {
+    let mut done = 0;
+    while done < basis.len() {
+        let (vs, hs) = (&basis[done..], &h[done..]);
+        done += match vs.len() {
+            8.. => group_update::<T, 8>(vs, rows, hs, w),
+            4.. => group_update::<T, 4>(vs, rows, hs, w),
+            2.. => group_update::<T, 2>(vs, rows, hs, w),
+            _ => group_update::<T, 1>(vs, rows, hs, w),
+        };
+    }
+}
+
+/// [`block_update`] for the first `G` vectors of `basis`; returns `G`.
+#[inline(always)]
+fn group_update<T: Real, const G: usize>(
+    basis: &[Vec<T>],
+    rows: &Range<usize>,
+    h: &[f64],
+    w: &mut [T],
+) -> usize {
+    let vs: [&[T]; G] = std::array::from_fn(|i| &basis[i][rows.clone()][..w.len()]);
+    let a: [T; G] = std::array::from_fn(|i| T::from_f64(-h[i]));
+    for (r, wr) in w.iter_mut().enumerate() {
+        let mut x = *wr;
+        for (v, &ai) in vs.iter().zip(&a) {
+            x += ai * v[r];
+        }
+        *wr = x;
+    }
+    G
 }
 
 /// The extreme Ritz pairs of the tridiagonal matrix, with the residual
@@ -655,6 +853,28 @@ mod tests {
         let r = lanczos_extreme_mixed(&op, &op32, LanczosOptions::default(), &mut rng);
         assert_close(r.bottom, -1.0, 1e-6);
         assert_close(r.top, 1.0, 1e-6);
+    }
+
+    #[test]
+    fn cgs2_basis_stays_orthonormal_across_chunks() {
+        // two reorthogonalization chunks, and enough steps that plain
+        // Lanczos would long since have lost orthogonality
+        let g = socmix_gen::fixtures::grid(97, 71);
+        assert!(g.num_nodes() > REORTH_CHUNK);
+        let sop = SymmetricWalkOp::<f64>::with_pool(&g, socmix_par::Pool::with_threads(2));
+        let basis = vec![sop.top_eigenvector()];
+        let defl = DeflatedOp::new(sop, &basis);
+        let v = start_vector(&defl, &mut StdRng::seed_from_u64(9)).unwrap();
+        let k = Krylov::run(&defl, v, 160, 10, |_, _| false);
+        assert!(k.basis.len() >= 150, "only {} steps", k.basis.len());
+        let mut worst = 0.0f64;
+        for (i, a) in k.basis.iter().enumerate() {
+            for (j, b) in k.basis.iter().enumerate().skip(i) {
+                let want = if i == j { 1.0 } else { 0.0 };
+                worst = worst.max((crate::vecops::dot(a, b) - want).abs());
+            }
+        }
+        assert!(worst <= 1e-12, "max |VᵀV − I| = {worst:e}");
     }
 
     #[test]

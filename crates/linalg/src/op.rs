@@ -54,6 +54,14 @@ pub trait LinearOp<T: Real = f64> {
         self.apply(x, &mut y);
         y
     }
+
+    /// The pool this operator schedules row chunks on, which the
+    /// solvers also run their own O(n) sweeps on (serial unless the
+    /// operator says otherwise). Pool width never changes a solver's
+    /// bits, only its wall clock.
+    fn pool(&self) -> Pool {
+        Pool::serial()
+    }
 }
 
 /// The row-stochastic random-walk operator `P = D⁻¹A`, applied as
@@ -107,11 +115,6 @@ impl<'g> WalkOp<'g> {
     pub fn inv_degrees(&self) -> &[f64] {
         &self.inv_deg
     }
-
-    /// The pool this operator schedules row chunks on.
-    pub fn pool(&self) -> &Pool {
-        &self.pool
-    }
 }
 
 impl LinearOp for WalkOp<'_> {
@@ -136,6 +139,10 @@ impl LinearOp for WalkOp<'_> {
         with_scratch(x.len(), |z| {
             scaled_gather(self.graph, &self.pool, &self.inv_deg, x, z, y, |_, a| a)
         });
+    }
+
+    fn pool(&self) -> Pool {
+        self.pool
     }
 }
 
@@ -213,6 +220,10 @@ impl LinearOp for SymmetricWalkOp<'_> {
             scaled_gather(self.graph, &self.pool, inv, x, z, y, |i, a| a * inv[i])
         });
     }
+
+    fn pool(&self) -> Pool {
+        self.pool
+    }
 }
 
 /// The f32 apply: same formula, its `z` scratch from the per-thread
@@ -231,6 +242,10 @@ impl LinearOp<f32> for SymmetricWalkOp<'_, f32> {
             let z = arena.alloc(x.len());
             scaled_gather(self.graph, &self.pool, inv, x, z, y, |i, a| a * inv[i])
         });
+    }
+
+    fn pool(&self) -> Pool {
+        self.pool
     }
 }
 
@@ -360,6 +375,10 @@ impl<Op: LinearOp> LinearOp for DeflatedOp<'_, Op> {
         });
         self.project(y);
     }
+
+    fn pool(&self) -> Pool {
+        self.inner.pool()
+    }
 }
 
 /// The f32 apply projects the output only: `P·Op`. The input
@@ -379,6 +398,10 @@ impl<Op: LinearOp<f32>> LinearOp<f32> for DeflatedOp<'_, Op, f32> {
     fn apply(&self, x: &[f32], y: &mut [f32]) {
         self.inner.apply(x, y);
         self.project(y);
+    }
+
+    fn pool(&self) -> Pool {
+        self.inner.pool()
     }
 }
 

@@ -23,7 +23,10 @@ use rand::SeedableRng;
 use socmix_gen::ba::barabasi_albert;
 use socmix_graph::{Graph, GraphBuilder};
 use socmix_linalg::vecops::project_out;
-use socmix_linalg::{DeflatedOp, LinearOp, MultiLinearOp, MultiVec, SymmetricWalkOp, WalkOp};
+use socmix_linalg::{
+    lanczos_extreme, DeflatedOp, LanczosOptions, LinearOp, MultiLinearOp, MultiVec,
+    SymmetricWalkOp, WalkOp,
+};
 use socmix_par::Pool;
 
 /// Mildly irregular test graph: a BA preferential-attachment run,
@@ -158,6 +161,35 @@ fn pool_of(threads: usize) -> Pool {
         Pool::serial()
     } else {
         Pool::with_threads(threads)
+    }
+}
+
+#[test]
+fn lanczos_bitwise_identical_across_pool_widths() {
+    // 22,500 nodes: several of the solver's fixed reorthogonalization
+    // chunks, so the chunked dot fold runs on every width
+    let g = socmix_gen::fixtures::grid(150, 150);
+    let basis = vec![SymmetricWalkOp::new(&g).top_eigenvector()];
+    let opts = LanczosOptions {
+        max_iter: 60,
+        tol: 0.0,
+        check_every: 10,
+    };
+    let run = |t: usize| {
+        let op = DeflatedOp::new(SymmetricWalkOp::with_pool(&g, pool_of(t)), &basis);
+        lanczos_extreme(&op, opts, &mut StdRng::seed_from_u64(7))
+    };
+    let serial = run(1);
+    assert_eq!(serial.iterations, 60);
+    for t in WIDTHS {
+        let par = run(t);
+        assert_eq!(serial.top.to_bits(), par.top.to_bits(), "top, {t} threads");
+        assert_eq!(
+            serial.bottom.to_bits(),
+            par.bottom.to_bits(),
+            "bottom, {t} threads"
+        );
+        assert_eq!(serial.iterations, par.iterations, "{t} threads");
     }
 }
 
